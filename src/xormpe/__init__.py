@@ -11,6 +11,7 @@ from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
 from .executor import (
     CheckpointFailure,
+    Observer,
     SolveResult,
     SolveStats,
     count,
@@ -62,6 +63,7 @@ __all__ = [
     "Heuristic",
     "InternalError",
     "Literal",
+    "Observer",
     "OracleResult",
     "ParseError",
     "PjtNode",

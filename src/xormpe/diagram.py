@@ -257,11 +257,7 @@ class DiagramManager:
 
     def additive_join(self, f: Function, g: Function) -> Function:
         """Pointwise sum; linear domain only."""
-        if self.log_mode:
-            raise ValueError("additive operations are unavailable in log10 mode")
-        a, b = self._root(f), self._root(g)
-        node = self._apply("a", lambda x, y: x + y, a, b, True, identity=self._zero)
-        return self._wrap(node)
+        return self._wrap(self._plus(self._root(f), self._root(g)))
 
     def _max(self, a: int, b: int) -> int:
         return self._apply("m", max, a, b, True, idempotent=True)
@@ -338,21 +334,16 @@ class DiagramManager:
             f = self.add_project(f, var)
         return f
 
-    def derivative_sign(self, f: Function, var: int, prefer_high_on_tie: bool = True) -> DerivativeSign:
+    def derivative_sign(self, f: Function, var: int) -> DerivativeSign:
         """Record where assigning var 1 beats assigning it 0.
 
-        A tie counts as a win for the 1 branch so maximizers are reproducible;
-        prefer_high_on_tie=False flips that and exists only to exercise
-        failure detection.
+        A tie counts as a win for the 1 branch so maximizers are reproducible.
         """
         root = self._root(f)
         xlev = self._level_of[var]
         hi = self._restrict_rec(root, xlev, True)
         lo = self._restrict_rec(root, xlev, False)
-        if prefer_high_on_tie:
-            node = self._apply("ge", lambda x, y: 1.0 if x >= y else 0.0, hi, lo, False)
-        else:
-            node = self._apply("gt", lambda x, y: 1.0 if x > y else 0.0, hi, lo, False)
+        node = self._apply("ge", lambda x, y: 1.0 if x >= y else 0.0, hi, lo, False)
         return DerivativeSign(var, self._wrap(node))
 
     # ------------------------------------------------------------- inspection

@@ -10,7 +10,7 @@ sign must be taken after the weight joins in: it has to cover every remaining
 factor that depends on the variable, or unconstrained variables would tie and
 lose their weight preference.
 
-`verify_checkpoints` reruns a solve under instrumentation that maintains the
+`verify_checkpoints` reruns a solve with an observer that maintains the
 set of eliminated variables and the multiset of active functions, checking at
 every step - by exhaustive enumeration, so only small instances - that the
 active product equals the projected master function and that each recorded
@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class SolveStats:
     width: int = 0
     peak_nodes: int = 0
     exec_seconds: float = 0.0
-    plan_seconds: float = 0.0
     largest_dot: str | None = None
 
 
@@ -59,56 +59,76 @@ class SolveResult:
         return [var if self.maximizer[var] else -var for var in sorted(self.maximizer)]
 
 
-class _Fault:
-    """Test-only corruption switches threaded through a solve."""
+class Observer:
+    """Hook into a valuation: the executor calls these methods in execution
+    order. Pass an instance as `observer=` to `solve` or `valuate`, one
+    instance per solve.
 
-    KINDS = ("skip_weight_join", "push_after_project", "tie_break_low")
+    The base class tracks, in `built`, the largest intermediate diagram,
+    which `solve` reports as `SolveStats.peak_nodes` (and renders for
+    `want_dot`); every other event is a no-op. Subclasses override the events
+    they need; one that overrides `built` calls `super().built` to keep the
+    statistics.
+    """
 
-    def __init__(self, kind: str | None):
-        if kind is not None and kind not in self.KINDS:
-            raise ValueError(f"unknown fault {kind!r}")
-        self.kind = kind
-        self._skip_armed = kind == "skip_weight_join"
-
-    def take_skip_weight(self) -> bool:
-        # only the first weight join is skipped
-        if self._skip_armed:
-            self._skip_armed = False
-            return True
-        return False
-
-    @property
-    def swap_push_project(self) -> bool:
-        return self.kind == "push_after_project"
-
-    @property
-    def tie_low(self) -> bool:
-        return self.kind == "tie_break_low"
-
-
-class _SizeTracker:
-    def __init__(self, manager: DiagramManager, keep_largest: bool):
-        self.manager = manager
+    def __init__(self) -> None:
+        self.manager: DiagramManager | None = None
         self.peak = 0
-        self.keep_largest = keep_largest
         self.largest: Function | None = None
 
-    def note(self, f: Function) -> None:
+    def setup(self, manager: DiagramManager) -> None:
+        """Before the first node, with the manager the valuation uses."""
+        self.manager = manager
+
+    def built(self, node: int, f: Function) -> None:
+        """Every intermediate diagram: a leaf, a child join, a projection."""
         size = self.manager.size(f)
         if size > self.peak:
             self.peak = size
-            if self.keep_largest:
-                self.largest = f
+            self.largest = f
+
+    def enter(self, node: int) -> None:
+        """Before a node is valuated; its children already are."""
+
+    def internal_start(self, node: int, f: Function) -> None:
+        """f is the unit the children of an internal node are joined into."""
+
+    def child_joined(self, node: int, h: Function, previous: Function,
+                     joined: Function) -> None:
+        """The child's valuation h was joined into previous."""
+
+    def joins_done(self, node: int, f: Function) -> None:
+        """Every child is joined in; f is their product."""
+
+    def sign_pushed(self, node: int, var: int, sign: DerivativeSign) -> None:
+        """The sign of var was recorded, before var is projected out."""
+
+    def projected(self, node: int, var: int, previous: Function,
+                  weight_func: Function, result: Function) -> None:
+        """var's weight was joined into previous and var projected out."""
+
+    def exit(self, node: int, f: Function) -> None:
+        """f is the node's valuation."""
+
+    def after_valuate(self, maximum: float) -> None:
+        """`solve` only: the root's value, before the signs are popped."""
+
+    def popped(self, var: int, assignment: Assignment) -> None:
+        """`solve` only: var was assigned from its sign."""
 
 
-@contextmanager
-def _deep_recursion(extra: int):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, extra))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
+_recursion_lock = threading.Lock()
+
+
+def _allow_recursion(width: int) -> None:
+    """The tree is walked in a loop, but the diagram kernels recurse one frame
+    per variable level, so a valuation needs about `width` frames above its
+    caller's. Raise the interpreter's limit when that may not fit, and never
+    lower it: a solve in another thread may rely on the higher value."""
+    needed = 2 * width + 200
+    with _recursion_lock:
+        if sys.getrecursionlimit() < needed:
+            sys.setrecursionlimit(needed)
 
 
 def valuate(
@@ -118,77 +138,59 @@ def valuate(
     weights: WeightFunction,
     node: int | None = None,
     stack: list[DerivativeSign] | None = None,
+    project: Callable[[Function, int], Function] | None = None,
+    observer: Observer | None = None,
 ) -> Function:
-    """Valuation of one tree node (the root by default). Derivative signs are
-    pushed onto `stack`, one per projected variable, before each projection."""
-    if node is None:
-        node = tree.root
-    with _deep_recursion(4 * len(tree.nodes) + 200):
-        return _valuate(manager, formula, tree, weights, node, stack,
-                        project="exists", fault=_Fault(None), observer=None,
-                        tracker=None)
-
-
-def _valuate(manager, formula, tree, weights, node_id, stack, project, fault,
-             observer, tracker):
+    """Valuation of one tree node (the root by default), children before
+    parents in one pass over its subtree. Derivative signs are pushed onto
+    `stack`, one per projected variable, before each projection. `project`
+    eliminates one variable: `manager.exists_project` by default,
+    `manager.add_project` to count. `observer` receives every step."""
+    if project is None:
+        project = manager.exists_project
+    _allow_recursion(tree.width())
     if observer:
-        observer.enter(node_id)
-    node = tree.nodes[node_id]
-    if node.is_leaf:
-        f = manager.from_clause(formula.clauses[node.clause_index])
-        if tracker:
-            tracker.note(f)
-    else:
-        f = manager.one()
+        observer.setup(manager)
+    values: dict[int, Function] = {}
+    for node_id in tree.post_order(node):
         if observer:
-            observer.internal_start(node_id, f)
-        for child in node.children:
-            h = _valuate(manager, formula, tree, weights, child, stack, project,
-                         fault, observer, tracker)
-            previous = f
-            f = manager.join(previous, h)
-            if tracker:
-                tracker.note(f)
+            observer.enter(node_id)
+        pjt_node = tree.nodes[node_id]
+        if pjt_node.is_leaf:
+            f = manager.from_clause(formula.clauses[pjt_node.clause_index])
             if observer:
-                observer.child_joined(node_id, h, previous, f)
-        if observer:
-            observer.joins_done(node_id, f)
-        for x in sorted(node.pi):
-            weight_func = manager.literal_weight(x, *weights.pair(x))
-            # the weight joins in before the sign is recorded: the sign must
-            # cover every remaining factor that depends on x, and at this
-            # point that is exactly the partial product times the weight
-            weighted = f if fault.take_skip_weight() else manager.join(f, weight_func)
-            if fault.swap_push_project:
-                previous = f
-                f = _project_step(manager, weighted, x, project)
+                observer.built(node_id, f)
+        else:
+            f = manager.one()
+            if observer:
+                observer.internal_start(node_id, f)
+            for child in pjt_node.children:
+                h = values.pop(child)
+                previous, f = f, manager.join(f, h)
+                if observer:
+                    observer.built(node_id, f)
+                    observer.child_joined(node_id, h, previous, f)
+            if observer:
+                observer.joins_done(node_id, f)
+            for x in sorted(pjt_node.pi):
+                weight_func = manager.literal_weight(x, *weights.pair(x))
+                # the weight joins in before the sign is recorded: the sign must
+                # cover every remaining factor that depends on x, and at this
+                # point that is exactly the partial product times the weight
+                weighted = manager.join(f, weight_func)
                 if stack is not None:
-                    sign = manager.derivative_sign(f, x)
+                    sign = manager.derivative_sign(weighted, x)
                     stack.append(sign)
                     if observer:
                         observer.sign_pushed(node_id, x, sign)
-            else:
-                if stack is not None:
-                    sign = manager.derivative_sign(weighted, x,
-                                                   prefer_high_on_tie=not fault.tie_low)
-                    stack.append(sign)
-                    if observer:
-                        observer.sign_pushed(node_id, x, sign)
-                previous = f
-                f = _project_step(manager, weighted, x, project)
-            if tracker:
-                tracker.note(f)
-            if observer:
-                observer.projected(node_id, x, previous, weight_func, f)
-    if observer:
-        observer.exit(node_id, f)
+                previous, f = f, project(weighted, x)
+                if observer:
+                    observer.built(node_id, f)
+                    observer.projected(node_id, x, previous, weight_func, f)
+        if observer:
+            observer.exit(node_id, f)
+        values[node_id] = f
     return f
-
-
-def _project_step(manager, weighted, x, project):
-    if project == "exists":
-        return manager.exists_project(weighted, x)
-    return manager.add_project(weighted, x)
 
 
 def solve(
@@ -196,30 +198,24 @@ def solve(
     weights: WeightFunction,
     tree: ProjectJoinTree,
     mode: str = "linear",
-    var_order: list[int] | None = None,
     want_dot: bool = False,
-    _fault: str | None = None,
-    _observer=None,
+    observer: Observer | None = None,
 ) -> SolveResult:
     """Maximum of the weighted formula plus one maximizing assignment.
 
     mode "linear" works on raw weights; mode "log10" stores log10 weights in
     the terminals (the maximum comes back as a log10 value), which keeps huge
-    weight products representable.
+    weight products representable. `observer` receives every step.
     """
     if mode not in ("linear", "log10"):
         raise ValueError(f"unknown mode {mode!r}")
     started = time.perf_counter()
-    manager = DiagramManager(var_order or list(formula.variables),
-                             log_mode=(mode == "log10"))
+    manager = DiagramManager(list(formula.variables), log_mode=(mode == "log10"))
+    if observer is None:
+        observer = Observer()
     stack: list[DerivativeSign] = []
-    tracker = _SizeTracker(manager, want_dot)
-    fault = _Fault(_fault)
-    if _observer:
-        _observer.setup(manager)
-    with _deep_recursion(4 * len(tree.nodes) + 200):
-        root_value = _valuate(manager, formula, tree, weights, tree.root, stack,
-                              "exists", fault, _observer, tracker)
+    root_value = valuate(manager, formula, tree, weights, stack=stack,
+                         observer=observer)
     if root_value.support:
         raise InternalError("root valuation is not constant")
     maximum = root_value.constant_value()
@@ -229,8 +225,7 @@ def solve(
             f"sign stack holds {len(stack)} entries for {formula.var_count} variables")
     if len({sign.var for sign in stack}) != len(stack):
         raise InternalError("sign stack repeats a variable")
-    if _observer:
-        _observer.after_valuate(maximum)
+    observer.after_valuate(maximum)
 
     maximizer: dict[int, bool] = {}
     while stack:
@@ -241,17 +236,16 @@ def solve(
             maximizer[sign.var] = sign.choose(maximizer)
         except KeyError as exc:
             raise InternalError(f"sign condition not ready: {exc}") from exc
-        if _observer:
-            _observer.popped(sign.var, maximizer)
+        observer.popped(sign.var, maximizer)
 
     no_model = maximum == (_NEG_INF if mode == "log10" else 0.0)
     stats = SolveStats(
         width=tree.width(),
-        peak_nodes=tracker.peak,
+        peak_nodes=observer.peak,
         exec_seconds=time.perf_counter() - started,
     )
-    if want_dot and tracker.largest is not None:
-        stats.largest_dot = manager.to_dot(tracker.largest)
+    if want_dot and observer.largest is not None:
+        stats.largest_dot = manager.to_dot(observer.largest)
     return SolveResult(maximum, maximizer, no_model, mode, stats)
 
 
@@ -259,9 +253,8 @@ def count(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree) -> f
     """Weighted model count via the same tree, with additive projection in
     place of existential. Linear domain only."""
     manager = DiagramManager(list(formula.variables), log_mode=False)
-    with _deep_recursion(4 * len(tree.nodes) + 200):
-        root_value = _valuate(manager, formula, tree, weights, tree.root, None,
-                              "add", _Fault(None), None, None)
+    root_value = valuate(manager, formula, tree, weights,
+                         project=manager.add_project)
     if root_value.support:
         raise InternalError("root valuation is not constant")
     return root_value.constant_value()
@@ -283,20 +276,20 @@ def solve_monolithic(
         raise GuardError(f"monolithic limit exceeded: {n} > {limit} variables")
     started = time.perf_counter()
     manager = DiagramManager(list(formula.variables), log_mode=(mode == "log10"))
-    tracker = _SizeTracker(manager, False)
+    peak = 0
 
     f = manager.one()
     for clause in formula.clauses:
         f = manager.join(f, manager.from_clause(clause))
-        tracker.note(f)
+        peak = max(peak, manager.size(f))
     for var in formula.variables:
         f = manager.join(f, manager.literal_weight(var, *weights.pair(var)))
-        tracker.note(f)
+        peak = max(peak, manager.size(f))
 
     chain: dict[int, Function] = {n: f}
     for var in range(n, 0, -1):
         f = manager.exists_project(f, var)
-        tracker.note(f)
+        peak = max(peak, manager.size(f))
         chain[var - 1] = f
     if chain[0].support:
         raise InternalError("fully projected function is not constant")
@@ -308,7 +301,7 @@ def solve_monolithic(
         maximizer[var] = sign.choose(maximizer)
 
     no_model = maximum == (_NEG_INF if mode == "log10" else 0.0)
-    stats = SolveStats(width=n, peak_nodes=tracker.peak,
+    stats = SolveStats(width=n, peak_nodes=peak,
                        exec_seconds=time.perf_counter() - started)
     return SolveResult(maximum, maximizer, no_model, mode, stats)
 
@@ -330,12 +323,13 @@ class _CheckFailed(Exception):
         self.failure = failure
 
 
-class _Verifier:
+class _Verifier(Observer):
     """Instrumentation mirroring the annotated execution: E is the eliminated
     set, A the multiset of active functions (by node id). All checks compare
     against a dense enumeration of the weighted formula."""
 
     def __init__(self, formula: Formula, weights: WeightFunction, rtol: float = 1e-9):
+        super().__init__()
         self.formula = formula
         self.weights = weights
         self.rtol = rtol
@@ -359,7 +353,6 @@ class _Verifier:
                     value ^= self.bits[lit.var] == lit.positive
             master *= value
         self.master = master
-        self.manager: DiagramManager | None = None
         self.eliminated: set[int] = set()
         self.active: dict[int, int] = {}  # node id -> multiplicity
         self._grids: dict[int, np.ndarray] = {}
@@ -369,7 +362,7 @@ class _Verifier:
     def setup(self, manager: DiagramManager) -> None:
         if manager.log_mode:
             raise ValueError("verification runs in the linear domain only")
-        self.manager = manager
+        super().setup(manager)
         for clause in self.formula.clauses:
             self._insert(manager.from_clause(clause))
         for var in self.formula.variables:
@@ -507,7 +500,6 @@ def verify_checkpoints(
     weights: WeightFunction,
     tree: ProjectJoinTree,
     limit: int = VERIFY_LIMIT,
-    _fault: str | None = None,
 ) -> CheckpointFailure | None:
     """Run a linear-mode solve under full instrumentation.
 
@@ -518,8 +510,7 @@ def verify_checkpoints(
             f"verification limit exceeded: {formula.var_count} > {limit} variables")
     verifier = _Verifier(formula, weights)
     try:
-        solve(formula, weights, tree, mode="linear", _fault=_fault,
-              _observer=verifier)
+        solve(formula, weights, tree, mode="linear", observer=verifier)
     except _CheckFailed as failed:
         return failed.failure
     return None

@@ -69,12 +69,15 @@ class ProjectJoinTree:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def post_order(self) -> list[int]:
-        """Node ids with children before parents, children left to right."""
-        if self.root is None:
+    def post_order(self, start: int | None = None) -> list[int]:
+        """Ids of the subtree under `start` (the root by default), children
+        before parents, children left to right."""
+        if start is None:
+            start = self.root
+        if start is None:
             raise ValueError("tree has no root")
         result: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        stack: list[tuple[int, bool]] = [(start, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -244,7 +247,7 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
             clauses_of_var[v].append(c)
 
     descendant_clauses: dict[int, set[int]] = {}
-    for index in _post_order_of(tree, reached):
+    for index in tree.post_order():
         node = tree.nodes[index]
         if node.is_leaf:
             descendant_clauses[index] = {node.clause_index}
@@ -265,17 +268,3 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
                         f"clause {c} uses variable {x} but is not below node {index}",
                         node=index, variable=x, clause=c)
     return None
-
-
-def _post_order_of(tree: ProjectJoinTree, reached: list[int]) -> list[int]:
-    result: list[int] = []
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            result.append(node)
-            continue
-        stack.append((node, True))
-        for child in reversed(tree.nodes[node].children):
-            stack.append((child, False))
-    return result

@@ -1,5 +1,10 @@
+from contextlib import contextmanager
+from functools import partial
+
 import pytest
 
+from xormpe import executor
+from xormpe.diagram import DerivativeSign, DiagramManager
 from xormpe.formula import Clause, ClauseKind, Formula, Literal, WeightFunction
 from xormpe.planner import ProjectJoinTree
 
@@ -22,6 +27,56 @@ def disj(*lits: int) -> Clause:
 
 def xor(*lits: int) -> Clause:
     return Clause(ClauseKind.XOR, tuple(lit(v) for v in lits))
+
+
+class FaultyManager(DiagramManager):
+    """Diagram manager that seeds one executor fault, so tests can check that
+    the checkpoints and the oracle comparisons catch it:
+
+    * skip_weight_join: the first join right after a literal_weight returns
+      its left operand, as if that weight were never joined in;
+    * push_after_project: every derivative sign is the constant 1, which is
+      what a sign taken after the projection would be;
+    * tie_break_low: signs prefer 0 on ties (> in place of >=).
+    """
+
+    KINDS = ("skip_weight_join", "push_after_project", "tie_break_low")
+
+    def __init__(self, var_order, log_mode=False, *, fault):
+        if fault not in self.KINDS:
+            raise ValueError(f"unknown fault {fault!r}")
+        super().__init__(var_order, log_mode)
+        self.fault = fault
+        self._skip_armed = fault == "skip_weight_join"
+        self._last_weight = None
+
+    def literal_weight(self, var, w_neg, w_pos):
+        self._last_weight = super().literal_weight(var, w_neg, w_pos)
+        return self._last_weight
+
+    def join(self, f, g):
+        if self._skip_armed and g is self._last_weight:
+            self._skip_armed = False
+            return f
+        return super().join(f, g)
+
+    def derivative_sign(self, f, var):
+        if self.fault == "push_after_project":
+            return DerivativeSign(var, self.constant(1.0))
+        if self.fault == "tie_break_low":
+            hi = self.restrict(f, var, True).node
+            lo = self.restrict(f, var, False).node
+            node = self._apply("gt", lambda x, y: 1.0 if x > y else 0.0, hi, lo, False)
+            return DerivativeSign(var, self._wrap(node))
+        return super().derivative_sign(f, var)
+
+
+@contextmanager
+def injected_fault(kind):
+    """Every solve, count and verification inside builds a FaultyManager."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "DiagramManager", partial(FaultyManager, fault=kind))
+        yield
 
 
 @pytest.fixture

@@ -136,19 +136,21 @@ def test_criterion_05_assertion_suite():
 
     # seeded mutations: each must be caught by a checkpoint or an oracle test
     from xormpe.formula import Formula
-    from conftest import disj
+    from conftest import disj, injected_fault
 
-    skip_caught = verify_checkpoints(
-        Formula(1, [disj(1)]), WeightFunction({1: (10, 100)}),
-        plan(Formula(1, [disj(1)]), [1]), _fault="skip_weight_join")
-    swap_caught = verify_checkpoints(
-        Formula(1, [disj(-1)]), WeightFunction(),
-        plan(Formula(1, [disj(-1)]), [1]), _fault="push_after_project")
+    with injected_fault("skip_weight_join"):
+        skip_caught = verify_checkpoints(
+            Formula(1, [disj(1)]), WeightFunction({1: (10, 100)}),
+            plan(Formula(1, [disj(1)]), [1]))
+    with injected_fault("push_after_project"):
+        swap_caught = verify_checkpoints(
+            Formula(1, [disj(-1)]), WeightFunction(),
+            plan(Formula(1, [disj(-1)]), [1]))
     tie_formula = Formula(3, [])
     tie_tree = plan(tie_formula, [1, 2, 3])
     tie_straight = solve(tie_formula, WeightFunction(), tie_tree)
-    tie_flipped = solve(tie_formula, WeightFunction(), tie_tree,
-                        _fault="tie_break_low")
+    with injected_fault("tie_break_low"):
+        tie_flipped = solve(tie_formula, WeightFunction(), tie_tree)
     tie_caught = (tie_straight.maximizer == {1: True, 2: True, 3: True}
                   and tie_flipped.maximizer != tie_straight.maximizer)
 

@@ -7,7 +7,7 @@ import pytest
 from xormpe.diagram import DiagramManager
 from xormpe.formula import WeightFunction, evaluate_clause
 
-from conftest import disj, xor
+from conftest import FaultyManager, disj, xor
 
 
 def assignments(variables):
@@ -234,8 +234,9 @@ def test_derivative_sign_conditional(mgr):
 def test_derivative_sign_tie_prefers_high(mgr):
     flat = mgr.literal_weight(1, 5, 5)  # reduces to a constant: everything ties
     assert mgr.derivative_sign(flat, 1).condition == mgr.constant(1)
-    assert mgr.derivative_sign(flat, 1, prefer_high_on_tie=False).condition == \
-        mgr.constant(0)
+    strict = FaultyManager(mgr.var_order, fault="tie_break_low")
+    assert strict.derivative_sign(strict.literal_weight(1, 5, 5), 1).condition == \
+        strict.constant(0)
 
 
 def test_derivative_sign_ignores_independent_factors(mgr):

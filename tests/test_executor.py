@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -7,6 +9,7 @@ from xormpe.benchgen import ChainSpec, gen_chain, gen_random
 from xormpe.diagram import DiagramManager
 from xormpe.errors import GuardError
 from xormpe.executor import (
+    Observer,
     count,
     solve,
     solve_monolithic,
@@ -22,7 +25,7 @@ from xormpe.formula import (
 from xormpe.oracle import brute_solve
 from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan
 
-from conftest import disj, xor
+from conftest import FaultyManager, disj, injected_fault, xor
 
 
 def plan_for(formula, heuristic=Heuristic.MIN_FILL):
@@ -271,8 +274,8 @@ def test_verify_guard():
 def test_fault_skip_weight_caught_at_project_condition():
     formula = Formula(1, [disj(1)])
     weights = WeightFunction({1: (10, 100)})
-    failure = verify_checkpoints(formula, weights, plan_for(formula),
-                                 _fault="skip_weight_join")
+    with injected_fault("skip_weight_join"):
+        failure = verify_checkpoints(formula, weights, plan_for(formula))
     assert failure is not None
     assert failure.checkpoint == "project-condition"
 
@@ -280,8 +283,8 @@ def test_fault_skip_weight_caught_at_project_condition():
 def test_fault_push_after_project_caught():
     formula = Formula(1, [disj(-1)])
     weights = WeightFunction()
-    failure = verify_checkpoints(formula, weights, plan_for(formula),
-                                 _fault="push_after_project")
+    with injected_fault("push_after_project"):
+        failure = verify_checkpoints(formula, weights, plan_for(formula))
     assert failure is not None
     assert failure.checkpoint in ("maximizer-push", "maximizer-pop")
 
@@ -296,11 +299,12 @@ def test_fault_tie_break_caught_by_canonical_tie_oracle():
     tree = plan_for(formula)
     straight = solve(formula, weights, tree)
     assert straight.maximizer == {1: True, 2: True, 3: True}
-    flipped = solve(formula, weights, tree, _fault="tie_break_low")
+    with injected_fault("tie_break_low"):
+        flipped = solve(formula, weights, tree)
+        # checkpoints do not catch it: both assignments are maximizers
+        assert verify_checkpoints(formula, weights, tree) is None
     assert flipped.maximizer == {1: False, 2: False, 3: False}
     assert flipped.maximizer != straight.maximizer
-    # checkpoints do not catch it: both assignments are maximizers
-    assert verify_checkpoints(formula, weights, tree, _fault="tie_break_low") is None
 
 
 def test_faults_detected_by_oracle_tests_somewhere():
@@ -310,7 +314,8 @@ def test_faults_detected_by_oracle_tests_somewhere():
         tree = plan_for(formula)
         reference = brute_solve(formula, weights)
         for fault in detected:
-            result = solve(formula, weights, tree, _fault=fault)
+            with injected_fault(fault):
+                result = solve(formula, weights, tree)
             wrong_max = abs(result.maximum - reference.maximum) > \
                 1e-9 * max(1.0, abs(reference.maximum))
             wrong_witness = not reference.is_maximizer(result.maximizer)
@@ -321,7 +326,10 @@ def test_faults_detected_by_oracle_tests_somewhere():
 
 def test_unknown_fault_rejected(mixed6, unit_weights, mixed6_tree):
     with pytest.raises(ValueError):
-        solve(mixed6, unit_weights, mixed6_tree, _fault="nonsense")
+        with injected_fault("nonsense"):
+            solve(mixed6, unit_weights, mixed6_tree)
+    with pytest.raises(ValueError):
+        FaultyManager([1], fault="nonsense")
 
 
 # ---------------------------------------------------------------- deep trees
@@ -331,3 +339,60 @@ def test_deep_left_linear_tree_does_not_overflow_stack():
     tree = plan(formula, list(formula.variables))
     result = solve(formula, weights, tree, mode="log10")
     assert len(result.maximizer) == 1200
+
+
+def wide_clause_instance(width):
+    # one clause over every variable under a leaf plus root: the tree is
+    # shallow, but the diagram kernels recurse once per level, width deep
+    formula = Formula(width, [disj(*range(1, width + 1))])
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([0], formula.variables)
+    return formula, tree
+
+
+def test_wide_shallow_tree_solves():
+    formula, tree = wide_clause_instance(1200)
+    before = sys.getrecursionlimit()
+    result = solve(formula, WeightFunction(), tree)
+    assert result.maximum == 1.0
+    assert result.maximizer == {v: True for v in formula.variables}
+    assert sys.getrecursionlimit() >= before
+
+
+def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
+    # a narrow solve that runs while a wide one is under way, here in another
+    # thread between the wide root's joins and its deep projections, must
+    # not take away the recursion depth the wide solve needs
+    wide, wide_tree = wide_clause_instance(1500)
+    narrow, narrow_weights = gen_chain(ChainSpec(40, 2, 3))
+    narrow_tree = plan(narrow, list(narrow.variables))
+
+    class NarrowSolveMidway(Observer):
+        def joins_done(self, node, f):
+            thread = threading.Thread(target=solve,
+                                      args=(narrow, narrow_weights, narrow_tree))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+    result = solve(wide, WeightFunction(), wide_tree, observer=NarrowSolveMidway())
+    assert result.maximum == 1.0
+    assert all(result.maximizer.values())
+
+
+def test_solve_leaves_recursion_limit_alone():
+    class LimitWatcher(Observer):
+        def __init__(self):
+            super().__init__()
+            self.limits = set()
+
+        def enter(self, node):
+            self.limits.add(sys.getrecursionlimit())
+
+    formula, weights = gen_chain(ChainSpec(300, 2, 4))
+    tree = plan(formula, list(formula.variables))
+    before = sys.getrecursionlimit()
+    watcher = LimitWatcher()
+    solve(formula, weights, tree, mode="log10", observer=watcher)
+    assert watcher.limits == {before}
+    assert sys.getrecursionlimit() == before
