@@ -12,6 +12,12 @@ The manager has two value domains:
             unit is 0.0 and zero is -inf. Additive operations (pointwise sum)
             are unavailable in this domain.
 
+Every operation runs on one of two recursive kernels: `_apply` combines two
+diagrams pointwise (join, sum, max, the `>=` comparison) and `_project`
+eliminates one variable by combining its two cofactors (max and sum
+projection, restriction, derivative signs). `support`, `size` and `to_dot`
+share one reachability walk, `_reachable`.
+
 The variable order is fixed at construction; there is no dynamic reordering.
 """
 
@@ -19,11 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .formula import Assignment, Clause, ClauseKind
 
 _NEG_INF = float("-inf")
+
+
+def _at_least(x: float, y: float) -> float:
+    return 1.0 if x >= y else 0.0
 
 
 class Function:
@@ -105,7 +115,6 @@ class DiagramManager:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._terminals: dict[float, int] = {}
         self._cache: dict[tuple, int] = {}
-        self._support_cache: dict[int, frozenset[int]] = {}
 
         self._one = self._terminal(0.0 if log_mode else 1.0)
         self._zero = self._terminal(_NEG_INF if log_mode else 0.0)
@@ -269,29 +278,19 @@ class DiagramManager:
 
     def restrict(self, f: Function, var: int, value: bool) -> Function:
         """Cofactor of f with var fixed; f itself if var is out of support."""
-        root = self._root(f)
-        xlev = self._level_of[var]
-        return self._wrap(self._restrict_rec(root, xlev, bool(value)))
+        combine = self._high_cofactor if value else self._low_cofactor
+        return self._wrap(self._project(self._root(f), self._level_of[var], combine))
 
-    def _restrict_rec(self, u: int, xlev: int, b: bool) -> int:
-        level, low, high = self._level, self._low, self._high
-        cache = self._cache
-        mk = self._mk
+    # combines for `_project`, which caches under the combine's name
 
-        def rec(node: int) -> int:
-            l = level[node]
-            if l > xlev:
-                return node
-            if l == xlev:
-                return high[node] if b else low[node]
-            key = ("r", node, xlev, b)
-            result = cache.get(key)
-            if result is None:
-                result = mk(l, rec(low[node]), rec(high[node]))
-                cache[key] = result
-            return result
+    def _low_cofactor(self, lo: int, hi: int) -> int:
+        return lo
 
-        return rec(u)
+    def _high_cofactor(self, lo: int, hi: int) -> int:
+        return hi
+
+    def _sign(self, lo: int, hi: int) -> int:
+        return self._apply("ge", _at_least, hi, lo, False)
 
     def _project(self, u: int, xlev: int, combine) -> int:
         level, low, high = self._level, self._low, self._high
@@ -303,7 +302,8 @@ class DiagramManager:
             l = level[node]
             if l > xlev:
                 # the variable is absent below this point, but both cofactors
-                # still exist and are equal: max keeps the node, sum doubles it
+                # still exist and are equal: max and either cofactor keep the
+                # node, sum doubles it, the sign is a tie and so 1
                 return combine(node, node)
             if l == xlev:
                 return combine(low[node], high[node])
@@ -324,26 +324,12 @@ class DiagramManager:
         """Pointwise sum of the two cofactors; linear domain only."""
         return self._wrap(self._project(self._root(f), self._level_of[var], self._plus))
 
-    def exists_project_all(self, f: Function, variables: Iterable[int]) -> Function:
-        for var in sorted(variables, key=lambda v: -self._level_of[v]):
-            f = self.exists_project(f, var)
-        return f
-
-    def add_project_all(self, f: Function, variables: Iterable[int]) -> Function:
-        for var in sorted(variables, key=lambda v: -self._level_of[v]):
-            f = self.add_project(f, var)
-        return f
-
     def derivative_sign(self, f: Function, var: int) -> DerivativeSign:
         """Record where assigning var 1 beats assigning it 0.
 
         A tie counts as a win for the 1 branch so maximizers are reproducible.
         """
-        root = self._root(f)
-        xlev = self._level_of[var]
-        hi = self._restrict_rec(root, xlev, True)
-        lo = self._restrict_rec(root, xlev, False)
-        node = self._apply("ge", lambda x, y: 1.0 if x >= y else 0.0, hi, lo, False)
+        node = self._project(self._root(f), self._level_of[var], self._sign)
         return DerivativeSign(var, self._wrap(node))
 
     # ------------------------------------------------------------- inspection
@@ -363,54 +349,40 @@ class DiagramManager:
             node = high[node] if bound else low[node]
         return self._value[node]
 
-    def support(self, f: Function) -> frozenset[int]:
-        root = self._root(f)
-        cached = self._support_cache.get(root)
-        if cached is not None:
-            return cached
-        seen: set[int] = set()
-        levels: set[int] = set()
+    def _reachable(self, root: int) -> set[int]:
+        """Every node (terminals included) reachable from root."""
+        level, low, high = self._level, self._low, self._high
+        terminal_level = self._terminal_level
+        seen = {root}
         stack = [root]
         while stack:
             node = stack.pop()
-            if node in seen or self.is_terminal(node):
+            if level[node] == terminal_level:
                 continue
-            seen.add(node)
-            levels.add(self._level[node])
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        result = frozenset(self._order[l] for l in levels)
-        self._support_cache[root] = result
-        return result
-
-    def size(self, f: Function) -> int:
-        """Number of distinct nodes (terminals included) reachable from f."""
-        seen = {self._root(f)}
-        stack = [self._root(f)]
-        while stack:
-            node = stack.pop()
-            if self.is_terminal(node):
-                continue
-            for child in (self._low[node], self._high[node]):
+            for child in (low[node], high[node]):
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
-        return len(seen)
+        return seen
+
+    def support(self, f: Function) -> frozenset[int]:
+        """Variables appearing on some root-to-terminal path."""
+        order, level = self._order, self._level
+        return frozenset(order[level[node]] for node in self._reachable(self._root(f))
+                         if level[node] != self._terminal_level)
+
+    def size(self, f: Function) -> int:
+        """Number of distinct nodes (terminals included) reachable from f."""
+        return len(self._reachable(self._root(f)))
 
     def node_count(self) -> int:
         return len(self._level)
 
     def to_dot(self, f: Function, name: str = "add") -> str:
-        """Graphviz text; solid edge = variable assigned 1, dashed = 0."""
-        root = self._root(f)
+        """Graphviz text, nodes by ascending id; solid edge = variable assigned
+        1, dashed = 0."""
         lines = [f"digraph {name} {{"]
-        seen = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
+        for node in sorted(self._reachable(self._root(f))):
             if self.is_terminal(node):
                 lines.append(f'  n{node} [shape=box, label="{self._value[node]:.6g}"];')
                 continue
@@ -418,7 +390,5 @@ class DiagramManager:
             lines.append(f'  n{node} [shape=oval, label="x{var}"];')
             lines.append(f"  n{node} -> n{self._high[node]} [style=solid];")
             lines.append(f"  n{node} -> n{self._low[node]} [style=dashed];")
-            stack.append(self._low[node])
-            stack.append(self._high[node])
         lines.append("}")
         return "\n".join(lines) + "\n"

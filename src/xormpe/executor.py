@@ -30,7 +30,8 @@ import numpy as np
 
 from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
-from .formula import Assignment, ClauseKind, Formula, WeightFunction
+from .formula import Assignment, Formula, WeightFunction
+from .oracle import brute_solve
 from .planner import ProjectJoinTree
 
 MONOLITHIC_LIMIT = 20
@@ -216,7 +217,7 @@ def solve(
     stack: list[DerivativeSign] = []
     root_value = valuate(manager, formula, tree, weights, stack=stack,
                          observer=observer)
-    if root_value.support:
+    if not root_value.is_constant():
         raise InternalError("root valuation is not constant")
     maximum = root_value.constant_value()
 
@@ -255,7 +256,7 @@ def count(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree) -> f
     manager = DiagramManager(list(formula.variables), log_mode=False)
     root_value = valuate(manager, formula, tree, weights,
                          project=manager.add_project)
-    if root_value.support:
+    if not root_value.is_constant():
         raise InternalError("root valuation is not constant")
     return root_value.constant_value()
 
@@ -291,7 +292,7 @@ def solve_monolithic(
         f = manager.exists_project(f, var)
         peak = max(peak, manager.size(f))
         chain[var - 1] = f
-    if chain[0].support:
+    if not chain[0].is_constant():
         raise InternalError("fully projected function is not constant")
     maximum = chain[0].constant_value()
 
@@ -326,7 +327,7 @@ class _CheckFailed(Exception):
 class _Verifier(Observer):
     """Instrumentation mirroring the annotated execution: E is the eliminated
     set, A the multiset of active functions (by node id). All checks compare
-    against a dense enumeration of the weighted formula."""
+    against the oracle's dense enumeration of the weighted formula."""
 
     def __init__(self, formula: Formula, weights: WeightFunction, rtol: float = 1e-9):
         super().__init__()
@@ -340,19 +341,7 @@ class _Verifier(Observer):
             var: ((indices >> (var - 1)) & 1) == 1
             for var in formula.variables
         }
-        master = np.ones(self.size, dtype=np.float64)
-        for var in formula.variables:
-            w_neg, w_pos = weights.pair(var)
-            master *= np.where(self.bits[var], w_pos, w_neg)
-        for clause in formula.clauses:
-            value = np.zeros(self.size, dtype=bool)
-            for lit in clause.literals:
-                if clause.kind is ClauseKind.DISJUNCTION:
-                    value |= self.bits[lit.var] == lit.positive
-                else:
-                    value ^= self.bits[lit.var] == lit.positive
-            master *= value
-        self.master = master
+        self.master = brute_solve(formula, weights, limit=self.n).values
         self.eliminated: set[int] = set()
         self.active: dict[int, int] = {}  # node id -> multiplicity
         self._grids: dict[int, np.ndarray] = {}

@@ -29,6 +29,15 @@ def xor(*lits: int) -> Clause:
     return Clause(ClauseKind.XOR, tuple(lit(v) for v in lits))
 
 
+def project_all(project, f, variables):
+    """Eliminate each of variables from f with project (a manager's
+    exists_project or add_project), the deepest variable in the order first."""
+    order = f.manager.var_order
+    for var in sorted(variables, key=order.index, reverse=True):
+        f = project(f, var)
+    return f
+
+
 class FaultyManager(DiagramManager):
     """Diagram manager that seeds one executor fault, so tests can check that
     the checkpoints and the oracle comparisons catch it:

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from xormpe.diagram import DiagramManager
 from xormpe.formula import WeightFunction, evaluate_clause
 
-from conftest import FaultyManager, disj, xor
+from conftest import FaultyManager, disj, project_all, xor
 
 
 def assignments(variables):
@@ -34,15 +35,23 @@ DYADIC = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
 
 
 def random_nonneg_function(mgr, rng, variables):
-    """Random nonnegative function built from weights and clause indicators."""
-    f = mgr.constant(rng.choice([0.25, 1.0, 2.0]))
+    """Random nonnegative function built from weights and clause indicators;
+    the clause is added in, or joined in a log10 manager, which cannot add."""
+    scale = rng.choice([0.25, 1.0, 2.0])
+    f = mgr.constant(math.log10(scale) if mgr.log_mode else scale)
     for var in variables:
         f = mgr.join(f, mgr.literal_weight(var, rng.choice(DYADIC), rng.choice(DYADIC)))
     if len(variables) >= 2 and rng.random() < 0.7:
         a, b = rng.sample(list(variables), 2)
         clause = xor(a, b) if rng.random() < 0.5 else disj(a, -b)
-        f = mgr.additive_join(f, mgr.from_clause(clause))
+        combine = mgr.join if mgr.log_mode else mgr.additive_join
+        f = combine(f, mgr.from_clause(clause))
     return f
+
+
+@pytest.fixture(params=[False, True], ids=["linear", "log10"])
+def any_mgr(request):
+    return DiagramManager([1, 2, 3, 4, 5, 6], log_mode=request.param)
 
 
 # ----------------------------------------------------------------- terminals
@@ -167,11 +176,47 @@ def test_restrict(mgr):
     assert mgr.restrict(mgr.constant(7), 3, True) == mgr.constant(7)
 
 
+def test_cofactor_operations_pointwise_below_top(any_mgr):
+    # x is never the top variable, so every operation caches the nodes it
+    # builds above x; they all run in one manager in shuffled order, so two of
+    # them sharing a cache tag would hand back each other's results
+    mgr = any_mgr
+    operations = {
+        "low": (lambda f, x: mgr.restrict(f, x, False), lambda lo, hi: lo),
+        "high": (lambda f, x: mgr.restrict(f, x, True), lambda lo, hi: hi),
+        "sign": (lambda f, x: mgr.derivative_sign(f, x).condition,
+                 lambda lo, hi: 1.0 if hi >= lo else 0.0),
+        "max": (mgr.exists_project, max),
+    }
+    if not mgr.log_mode:
+        operations["sum"] = (mgr.add_project, lambda lo, hi: lo + hi)
+    rng = random.Random(43)
+    cases = ties = 0
+    while cases < 60:
+        variables = rng.sample(range(1, 7), rng.randint(3, 4))
+        f = random_nonneg_function(mgr, rng, variables)
+        support = sorted(f.support)
+        if len(support) < 2:
+            continue
+        cases += 1
+        x = rng.choice(support[1:])
+        names = list(operations)
+        rng.shuffle(names)
+        for name in names:
+            operation, pointwise = operations[name]
+            g = operation(f, x)
+            for a in assignments(set(variables) - {x}):
+                lo, hi = f.evaluate({**a, x: False}), f.evaluate({**a, x: True})
+                assert g.evaluate(a) == pointwise(lo, hi), name
+                ties += name == "sign" and lo == hi
+    assert ties > 0
+
+
 # ----------------------------------------------------------------- projections
 
 def test_exists_project(mgr):
     f = mgr.join(mgr.literal_weight(1, 10, 100), mgr.literal_weight(2, 100, 10))
-    assert mgr.exists_project_all(f, [1, 2]) == mgr.constant(10000)
+    assert project_all(mgr.exists_project, f, [1, 2]) == mgr.constant(10000)
     g = mgr.from_clause(disj(1))
     assert mgr.exists_project(g, 6) == g
     assert mgr.exists_project(g, 1) == mgr.constant(1)
@@ -180,7 +225,7 @@ def test_exists_project(mgr):
 def test_add_project(mgr):
     assert mgr.add_project(mgr.from_clause(disj(1)), 1) == mgr.constant(1)
     f = mgr.from_clause(xor(1, 2))
-    assert mgr.add_project_all(f, [1, 2]) == mgr.constant(2)
+    assert project_all(mgr.add_project, f, [1, 2]) == mgr.constant(2)
 
 
 def test_add_project_counts_absent_variables(mgr):
@@ -207,10 +252,9 @@ def test_early_projection(mgr):
         f = random_nonneg_function(mgr, rng, f_vars)
         g = random_nonneg_function(mgr, rng, g_vars)
         scope = [v for v in f_vars if rng.random() < 0.7]
-        assert mgr.exists_project_all(mgr.join(f, g), scope) == \
-            mgr.join(mgr.exists_project_all(f, scope), g)
-        assert mgr.add_project_all(mgr.join(f, g), scope) == \
-            mgr.join(mgr.add_project_all(f, scope), g)
+        for project in (mgr.exists_project, mgr.add_project):
+            assert project_all(project, mgr.join(f, g), scope) == \
+                mgr.join(project_all(project, f, scope), g)
 
 
 # ------------------------------------------------------------ derivative sign
@@ -305,6 +349,22 @@ def test_size_counts_distinct_nodes(mgr):
     f = mgr.from_clause(xor(1, 2))
     assert mgr.size(f) == 5
     assert mgr.size(mgr.constant(1)) == 1
+
+
+def test_size_support_and_dot_agree():
+    def build(seed):
+        mgr = DiagramManager([1, 2, 3, 4, 5, 6])
+        rng = random.Random(seed)
+        return mgr, random_nonneg_function(mgr, rng, rng.sample(range(1, 7), rng.randint(1, 4)))
+
+    for seed in range(30):
+        mgr, f = build(seed)
+        text = mgr.to_dot(f)
+        node_lines = [line for line in text.splitlines() if "shape=" in line]
+        assert mgr.size(f) == len(node_lines)
+        assert f.support == {int(v) for v in re.findall(r'label="x(\d+)"', text)}
+        other, g = build(seed)
+        assert other.to_dot(g) == text
 
 
 # ------------------------------------------------------------------- log mode

@@ -8,7 +8,7 @@ from xormpe.errors import GuardError
 from xormpe.formula import Formula, WeightFunction, evaluate_formula, evaluate_weight
 from xormpe.oracle import brute_solve
 
-from conftest import disj, xor
+from conftest import disj, project_all, xor
 
 
 def test_unit_clause():
@@ -74,7 +74,7 @@ def test_matches_monolithic_projection():
             f = mgr.join(f, mgr.from_clause(clause))
         for var in formula.variables:
             f = mgr.join(f, mgr.literal_weight(var, *weights.pair(var)))
-        projected = mgr.exists_project_all(f, formula.variables)
+        projected = project_all(mgr.exists_project, f, formula.variables)
         assert projected.constant_value() == pytest.approx(result.maximum, rel=1e-9)
 
 
