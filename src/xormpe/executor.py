@@ -147,9 +147,22 @@ def valuate(
     `stack`, one per projected variable, before each projection. `project`
     eliminates one variable: `manager.exists_project` by default,
     `manager.add_project` to count. `observer` receives every step."""
-    if project is None:
-        project = manager.exists_project
     _allow_recursion(tree.width())
+    return _valuate(manager, formula, tree, weights, node, stack,
+                    project or manager.exists_project, observer)
+
+
+def _valuate(
+    manager: DiagramManager,
+    formula: Formula,
+    tree: ProjectJoinTree,
+    weights: WeightFunction,
+    node: int | None,
+    stack: list[DerivativeSign] | None,
+    project: Callable[[Function, int], Function],
+    observer: Observer | None,
+) -> Function:
+    """`valuate` for a caller that has already sized the recursion limit."""
     if observer:
         observer.setup(manager)
     values: dict[int, Function] = {}
@@ -206,7 +219,8 @@ def solve(
 
     mode "linear" works on raw weights; mode "log10" stores log10 weights in
     the terminals (the maximum comes back as a log10 value), which keeps huge
-    weight products representable. `observer` receives every step.
+    weight products representable; a linear maximum out of double range
+    raises GuardError. `observer` receives every step.
     """
     if mode not in ("linear", "log10"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -215,11 +229,10 @@ def solve(
     if observer is None:
         observer = Observer()
     stack: list[DerivativeSign] = []
-    root_value = valuate(manager, formula, tree, weights, stack=stack,
-                         observer=observer)
-    if not root_value.is_constant():
-        raise InternalError("root valuation is not constant")
-    maximum = root_value.constant_value()
+    width = tree.width()
+    _allow_recursion(width)
+    maximum = _root_value(_valuate(manager, formula, tree, weights, None, stack,
+                                   manager.exists_project, observer))
 
     if len(stack) != formula.var_count:
         raise InternalError(
@@ -241,7 +254,7 @@ def solve(
 
     no_model = maximum == (_NEG_INF if mode == "log10" else 0.0)
     stats = SolveStats(
-        width=tree.width(),
+        width=width,
         peak_nodes=observer.peak,
         exec_seconds=time.perf_counter() - started,
     )
@@ -252,13 +265,24 @@ def solve(
 
 def count(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree) -> float:
     """Weighted model count via the same tree, with additive projection in
-    place of existential. Linear domain only."""
+    place of existential. Linear domain only; a count out of double range
+    raises GuardError."""
     manager = DiagramManager(list(formula.variables), log_mode=False)
-    root_value = valuate(manager, formula, tree, weights,
-                         project=manager.add_project)
-    if not root_value.is_constant():
+    return _root_value(valuate(manager, formula, tree, weights,
+                               project=manager.add_project))
+
+
+def _root_value(root: Function) -> float:
+    """The constant at the root. A linear-domain value that left double range
+    (inf, or NaN from inf times 0) is no answer, so it raises GuardError."""
+    if not root.is_constant():
         raise InternalError("root valuation is not constant")
-    return root_value.constant_value()
+    value = root.constant_value()
+    if not root.manager.log_mode and not math.isfinite(value):
+        raise GuardError(
+            f"linear-mode value {value} is out of double range; "
+            "use --mode log10, which keeps weight products finite")
+    return value
 
 
 def solve_monolithic(
@@ -292,9 +316,7 @@ def solve_monolithic(
         f = manager.exists_project(f, var)
         peak = max(peak, manager.size(f))
         chain[var - 1] = f
-    if not chain[0].is_constant():
-        raise InternalError("fully projected function is not constant")
-    maximum = chain[0].constant_value()
+    maximum = _root_value(chain[0])
 
     maximizer: dict[int, bool] = {}
     for var in range(1, n + 1):

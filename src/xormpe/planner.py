@@ -14,6 +14,7 @@ clause).
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -125,37 +126,61 @@ def primal_graph(formula: Formula) -> dict[int, set[int]]:
 
 
 def heuristic_order(formula: Formula, heuristic: Heuristic) -> list[int]:
-    """Greedy elimination order on the primal graph; ties break toward the
-    smallest variable index."""
+    """Greedy elimination order on the primal graph: repeatedly eliminate the
+    vertex of least cost (degree, or number of missing edges among its
+    neighbours), ties broken toward the smallest variable index.
+
+    Costs live in a dict and the minimum comes off a lazy heap of
+    (cost, var) entries; an entry whose cost is out of date is skipped.
+    Eliminating `chosen` with neighbours N removes `chosen` from them and
+    joins N into a clique. Only two kinds of vertex can see that: the members
+    of N, whose neighbourhoods changed, and, for min-fill, the common
+    neighbours of the two ends of each new edge, one of whose missing pairs
+    closed. Every other vertex keeps its neighbourhood and the edges among
+    it, so recomputing just those costs gives the same order as rescanning
+    every vertex at every step.
+    """
     if heuristic is Heuristic.LEXICOGRAPHIC:
         return list(formula.variables)
     adjacency = primal_graph(formula)
+    costs = {v: _cost(adjacency, v, heuristic) for v in adjacency}
+    heap = [(cost, v) for v, cost in costs.items()]
+    heapq.heapify(heap)
     order: list[int] = []
-    while adjacency:
-        if heuristic is Heuristic.MIN_DEGREE:
-            chosen = min(adjacency, key=lambda v: (len(adjacency[v]), v))
-        else:
-            chosen = min(adjacency, key=lambda v: (_fill_cost(adjacency, v), v))
+    while heap:
+        cost, chosen = heapq.heappop(heap)
+        if costs.get(chosen) != cost:
+            continue
+        del costs[chosen]
+        order.append(chosen)
         neighbors = adjacency.pop(chosen)
+        touched = set(neighbors)
         for u in neighbors:
             adjacency[u].discard(chosen)
         for u in neighbors:
-            for v in neighbors:
+            for v in neighbors - adjacency[u]:
                 if u < v:
                     adjacency[u].add(v)
                     adjacency[v].add(u)
-        order.append(chosen)
+                    if heuristic is Heuristic.MIN_FILL:
+                        touched |= adjacency[u] & adjacency[v]
+        for v in touched:
+            cost = _cost(adjacency, v, heuristic)
+            if cost != costs[v]:
+                costs[v] = cost
+                heapq.heappush(heap, (cost, v))
     return order
 
 
-def _fill_cost(adjacency: dict[int, set[int]], var: int) -> int:
-    neighbors = sorted(adjacency[var])
-    cost = 0
-    for i, u in enumerate(neighbors):
-        for v in neighbors[i + 1:]:
-            if v not in adjacency[u]:
-                cost += 1
-    return cost
+def _cost(adjacency: dict[int, set[int]], var: int, heuristic: Heuristic) -> int:
+    """Degree, or for min-fill the number of non-adjacent neighbour pairs:
+    all d(d-1)/2 pairs less the edges among the neighbours, each of which
+    the sum of |N(var) ∩ N(u)| over u in N(var) counts twice."""
+    neighbors = adjacency[var]
+    d = len(neighbors)
+    if heuristic is Heuristic.MIN_DEGREE:
+        return d
+    return (d * (d - 1) - sum(len(neighbors & adjacency[u]) for u in neighbors)) // 2
 
 
 def plan(formula: Formula, order: Sequence[int]) -> ProjectJoinTree:

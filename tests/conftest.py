@@ -6,7 +6,7 @@ import pytest
 from xormpe import executor
 from xormpe.diagram import DerivativeSign, DiagramManager
 from xormpe.formula import Clause, ClauseKind, Formula, Literal, WeightFunction
-from xormpe.planner import ProjectJoinTree
+from xormpe.planner import Heuristic, ProjectJoinTree, primal_graph
 
 MIXED6_TEXT = """p cnf 6 5
 x 2 -4 0
@@ -36,6 +36,41 @@ def project_all(project, f, variables):
     for var in sorted(variables, key=order.index, reverse=True):
         f = project(f, var)
     return f
+
+
+def reference_order(formula, heuristic):
+    """The elimination order heuristic_order must match, computed the plain
+    way: rescan every remaining vertex at every step, min-fill counting the
+    missing neighbour pairs one pair at a time."""
+    if heuristic is Heuristic.LEXICOGRAPHIC:
+        return list(formula.variables)
+    adjacency = primal_graph(formula)
+    order = []
+    while adjacency:
+        if heuristic is Heuristic.MIN_DEGREE:
+            chosen = min(adjacency, key=lambda v: (len(adjacency[v]), v))
+        else:
+            chosen = min(adjacency, key=lambda v: (_fill_cost(adjacency, v), v))
+        neighbors = adjacency.pop(chosen)
+        for u in neighbors:
+            adjacency[u].discard(chosen)
+        for u in neighbors:
+            for v in neighbors:
+                if u < v:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+        order.append(chosen)
+    return order
+
+
+def _fill_cost(adjacency, var):
+    neighbors = sorted(adjacency[var])
+    cost = 0
+    for i, u in enumerate(neighbors):
+        for v in neighbors[i + 1:]:
+            if v not in adjacency[u]:
+                cost += 1
+    return cost
 
 
 class FaultyManager(DiagramManager):

@@ -1,7 +1,8 @@
 import pytest
 
+from xormpe.benchgen import ChainSpec, gen_chain
 from xormpe.cli import main
-from xormpe.formula import parse_formula
+from xormpe.formula import format_formula, parse_formula
 
 from conftest import MIXED6_TEXT
 
@@ -51,6 +52,16 @@ def test_solve_log10_mode(capsys, unit_file):
                                 "--format", "machine"])
     assert code == 0
     assert out.splitlines()[0] == "s MAXIMUM 2"
+
+
+def test_solve_linear_overflow_exits_3(capsys, tmp_path):
+    # the README example in the default linear mode overflows to inf
+    path = tmp_path / "chain_n300_k20_s7.xcnf"
+    path.write_text(format_formula(*gen_chain(ChainSpec(300, 20, 7))))
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 3
+    assert not any(l.startswith(("s ", "v ")) for l in out.splitlines())
+    assert "--mode log10" in err
 
 
 def test_solve_missing_file(capsys):

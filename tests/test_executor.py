@@ -232,11 +232,33 @@ def test_log_mode_chain_large_weights():
     logged = solve(formula, weights, tree, mode="log10")
     if not logged.no_model:
         # the linear value would be around 100^60; check the maximizer instead
-        chosen = logged.maximizer
-        assert evaluate_formula(formula, chosen)
-        log_direct = sum(math.log10(weights.weight(v, chosen[v]))
-                         for v in formula.variables)
-        assert log_direct == pytest.approx(logged.maximum, rel=1e-9)
+        assert_log_maximizer(formula, weights, logged)
+
+
+def assert_log_maximizer(formula, weights, logged):
+    chosen = logged.maximizer
+    assert evaluate_formula(formula, chosen)
+    log_direct = sum(math.log10(weights.weight(v, chosen[v]))
+                     for v in formula.variables)
+    assert log_direct == pytest.approx(logged.maximum, rel=1e-9)
+
+
+def test_linear_overflow_raises_guard_error():
+    # the README example: its optimum, about 10^548, is past double range
+    formula, weights = gen_chain(ChainSpec(300, 20, 7))
+    tree = plan_for(formula)
+    with pytest.raises(GuardError, match="--mode log10"):
+        solve(formula, weights, tree, mode="linear")
+    logged = solve(formula, weights, tree, mode="log10")
+    assert 540 < logged.maximum < 560
+    assert_log_maximizer(formula, weights, logged)
+
+
+def test_linear_count_overflow_raises_guard_error():
+    formula = Formula(400, [])
+    weights = WeightFunction({v: (10, 100) for v in formula.variables})
+    with pytest.raises(GuardError, match="--mode log10"):
+        count(formula, weights, plan_for(formula))
 
 
 # ------------------------------------------------------------------ statistics
@@ -246,6 +268,20 @@ def test_stats_report_width_and_peak(mixed6, unit_weights, mixed6_tree):
     assert result.stats.width == 2
     assert result.stats.peak_nodes >= 3
     assert result.stats.exec_seconds >= 0.0
+
+
+def test_solve_computes_width_once(mixed6, unit_weights, mixed6_tree, monkeypatch):
+    calls = 0
+    width = ProjectJoinTree.width
+
+    def counting(tree):
+        nonlocal calls
+        calls += 1
+        return width(tree)
+
+    monkeypatch.setattr(ProjectJoinTree, "width", counting)
+    assert solve(mixed6, unit_weights, mixed6_tree).stats.width == 2
+    assert calls == 1
 
 
 def test_want_dot_keeps_largest_diagram(mixed6, unit_weights, mixed6_tree):

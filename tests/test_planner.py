@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from xormpe import planner
 from xormpe.benchgen import ChainSpec, gen_chain, gen_random
-from xormpe.formula import Formula, WeightFunction
+from xormpe.formula import Clause, Formula, Literal, WeightFunction
 from xormpe.planner import (
     Heuristic,
     ProjectJoinTree,
@@ -13,7 +14,7 @@ from xormpe.planner import (
     validate,
 )
 
-from conftest import disj, xor
+from conftest import disj, reference_order, xor
 
 
 def test_mixed6_tree_is_valid(mixed6, mixed6_tree):
@@ -77,6 +78,58 @@ def test_min_fill_avoids_fill_edges():
     order = heuristic_order(formula, Heuristic.MIN_FILL)
     assert order[0] == 1
     assert order[0] != 2
+
+
+def disjoint_blocks(blocks):
+    """One formula holding each of blocks on its own range of variables."""
+    clauses, offset = [], 0
+    for block in blocks:
+        for clause in block.clauses:
+            clauses.append(Clause(clause.kind, tuple(
+                Literal(lit.var + offset, lit.positive) for lit in clause.literals)))
+        offset += block.var_count
+    return Formula(offset, clauses)
+
+
+def reference_corpus():
+    rng = random.Random(2024)
+    for seed in range(300):
+        n = rng.randint(1, 40)
+        m = rng.randint(0, 60)
+        yield gen_random(n, m, rng.randint(1, min(n, 6)), rng.random(), seed)[0]
+    for n, k in [(50, 3), (120, 7), (300, 20)]:
+        yield gen_chain(ChainSpec(n, k, 3))[0]
+    # identical blocks tie on every cost, distinct ones on many
+    block = gen_random(20, 25, 4, 0.5, 7)[0]
+    yield disjoint_blocks([block] * 4)
+    for seed in range(4):
+        yield disjoint_blocks([gen_random(20, 30, 4, 0.5, 100 * seed + b)[0]
+                               for b in range(4)])
+    yield disjoint_blocks([gen_chain(ChainSpec(10, 3, 1))[0]] * 5)
+
+
+@pytest.mark.parametrize("heuristic", list(Heuristic))
+def test_orders_match_reference(heuristic):
+    for formula in reference_corpus():
+        assert heuristic_order(formula, heuristic) == reference_order(formula, heuristic)
+
+
+@pytest.mark.parametrize("heuristic", [Heuristic.MIN_DEGREE, Heuristic.MIN_FILL])
+def test_order_work_is_linear_on_a_path(heuristic, monkeypatch):
+    # a rescan of every remaining vertex per step would cost about n*n/2
+    n = 2000
+    formula, _ = gen_chain(ChainSpec(n, 2, 0))
+    calls = 0
+    cost = planner._cost
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cost(*args)
+
+    monkeypatch.setattr(planner, "_cost", counting)
+    assert heuristic_order(formula, heuristic) == list(range(1, n + 1))
+    assert calls <= 10 * n
 
 
 def test_plan_single_clause():
