@@ -2,8 +2,8 @@
 
 Subcommands: solve, plan, gen (chain | random), oracle, export-wcnf. Exit
 codes: 0 success, 1 internal invariant failure, 2 usage or I/O error, 3
-resource guard exceeded (for solve, also a linear-mode answer out of double
-range).
+resource guard exceeded (for solve, also a linear-mode value that overflows
+or underflows double range).
 
 Successful solve and oracle runs print a stable machine grammar: exactly one
 `s MAXIMUM <value>` line and one `v <literals> 0` line; the human format adds

@@ -13,10 +13,9 @@ The manager has two value domains:
             are unavailable in this domain.
 
 Every operation runs on one of two recursive kernels: `_apply` combines two
-diagrams pointwise (join, sum, max, the `>=` comparison) and `_project`
-eliminates one variable by combining its two cofactors (max and sum
-projection, restriction, derivative signs). `support`, `size` and `to_dot`
-share one reachability walk, `_reachable`.
+diagrams pointwise (join, sum, max) and `_project` eliminates one variable by
+combining its two cofactors (max and sum projection, restriction). `support`,
+`size` and `to_dot` share one reachability walk, `_reachable`.
 
 The variable order is fixed at construction; there is no dynamic reordering.
 """
@@ -24,16 +23,25 @@ The variable order is fixed at construction; there is no dynamic reordering.
 from __future__ import annotations
 
 import math
+import sys
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import GuardError
 from .formula import Assignment, Clause, ClauseKind
 
 _NEG_INF = float("-inf")
 
 
-def _at_least(x: float, y: float) -> float:
-    return 1.0 if x >= y else 0.0
+def _times(x: float, y: float) -> float:
+    """Linear product of two terminals. Two nonzero values whose product is
+    zero or subnormal have lost their value, so that raises GuardError."""
+    product = x * y
+    if product < sys.float_info.min and x and y:
+        raise GuardError(f"linear-mode product {x!r} * {y!r} underflows double range; "
+                         "use --mode log10, which keeps weight products representable")
+    return product
 
 
 class Function:
@@ -79,15 +87,18 @@ class Function:
 class DerivativeSign:
     """Which polarity of a variable maximizes a function, per co-assignment.
 
-    The condition is a 0/1-valued diagram over the rest of the function's
-    variables: 1 where assigning the variable 1 is at least as good as 0.
+    `function` is the weighted product the sign was taken on; `choose` compares
+    its two completions at one co-assignment and picks 1 on a tie.
     """
 
     var: int
-    condition: Function
+    function: Function
 
     def choose(self, assignment: Assignment) -> bool:
-        return self.condition.evaluate(assignment) == 1.0
+        # a copy of the assignment per sign would make reconstruction quadratic
+        high = self.function.evaluate(ChainMap({self.var: True}, assignment))
+        low = self.function.evaluate(ChainMap({self.var: False}, assignment))
+        return high >= low
 
 
 class DiagramManager:
@@ -210,8 +221,7 @@ class DiagramManager:
 
     # ------------------------------------------------------------ combinators
 
-    def _apply(self, tag, fn, a, b, commutative, identity=None, annihilator=None,
-               idempotent=False):
+    def _apply(self, tag, fn, a, b, identity=None, annihilator=None, idempotent=False):
         cache = self._cache
         level, low, high, value = self._level, self._low, self._high, self._value
         terminal_level = self._terminal_level
@@ -228,7 +238,7 @@ class DiagramManager:
                 return annihilator
             if idempotent and u == v:
                 return u
-            if commutative and u > v:
+            if u > v:  # every fn is commutative, so one cache key serves both orders
                 u, v = v, u
             key = (tag, u, v)
             result = cache.get(key)
@@ -254,27 +264,23 @@ class DiagramManager:
         return rec(a, b)
 
     def join(self, f: Function, g: Function) -> Function:
-        """Pointwise product (sum of logs in log10 mode)."""
-        a, b = self._root(f), self._root(g)
-        if self.log_mode:
-            node = self._apply("j", lambda x, y: x + y, a, b, True,
-                               identity=self._one, annihilator=self._zero)
-        else:
-            node = self._apply("j", lambda x, y: x * y, a, b, True,
-                               identity=self._one, annihilator=self._zero)
-        return self._wrap(node)
+        """Pointwise product (sum of logs in log10 mode); a linear product of
+        nonzero values that underflows raises GuardError."""
+        times = (lambda x, y: x + y) if self.log_mode else _times
+        return self._wrap(self._apply("j", times, self._root(f), self._root(g),
+                                      identity=self._one, annihilator=self._zero))
 
     def additive_join(self, f: Function, g: Function) -> Function:
         """Pointwise sum; linear domain only."""
         return self._wrap(self._plus(self._root(f), self._root(g)))
 
     def _max(self, a: int, b: int) -> int:
-        return self._apply("m", max, a, b, True, idempotent=True)
+        return self._apply("m", max, a, b, idempotent=True)
 
     def _plus(self, a: int, b: int) -> int:
         if self.log_mode:
             raise ValueError("additive operations are unavailable in log10 mode")
-        return self._apply("a", lambda x, y: x + y, a, b, True, identity=self._zero)
+        return self._apply("a", lambda x, y: x + y, a, b, identity=self._zero)
 
     def restrict(self, f: Function, var: int, value: bool) -> Function:
         """Cofactor of f with var fixed; f itself if var is out of support."""
@@ -289,9 +295,6 @@ class DiagramManager:
     def _high_cofactor(self, lo: int, hi: int) -> int:
         return hi
 
-    def _sign(self, lo: int, hi: int) -> int:
-        return self._apply("ge", _at_least, hi, lo, False)
-
     def _project(self, u: int, xlev: int, combine) -> int:
         level, low, high = self._level, self._low, self._high
         cache = self._cache
@@ -303,7 +306,7 @@ class DiagramManager:
             if l > xlev:
                 # the variable is absent below this point, but both cofactors
                 # still exist and are equal: max and either cofactor keep the
-                # node, sum doubles it, the sign is a tie and so 1
+                # node, sum doubles it
                 return combine(node, node)
             if l == xlev:
                 return combine(low[node], high[node])
@@ -329,8 +332,8 @@ class DiagramManager:
 
         A tie counts as a win for the 1 branch so maximizers are reproducible.
         """
-        node = self._project(self._root(f), self._level_of[var], self._sign)
-        return DerivativeSign(var, self._wrap(node))
+        self._root(f)  # a function of another manager raises ValueError
+        return DerivativeSign(var, f)
 
     # ------------------------------------------------------------- inspection
 

@@ -249,7 +249,7 @@ def solve(
         try:
             maximizer[sign.var] = sign.choose(maximizer)
         except KeyError as exc:
-            raise InternalError(f"sign condition not ready: {exc}") from exc
+            raise InternalError(f"sign not ready: {exc}") from exc
         observer.popped(sign.var, maximizer)
 
     no_model = maximum == (_NEG_INF if mode == "log10" else 0.0)
@@ -289,7 +289,6 @@ def solve_monolithic(
     formula: Formula,
     weights: WeightFunction,
     mode: str = "linear",
-    limit: int = MONOLITHIC_LIMIT,
 ) -> SolveResult:
     """Reference path: join every clause and weight into one diagram, then
     eliminate variables highest index first, keeping each intermediate so the
@@ -297,8 +296,8 @@ def solve_monolithic(
     if mode not in ("linear", "log10"):
         raise ValueError(f"unknown mode {mode!r}")
     n = formula.var_count
-    if n > limit:
-        raise GuardError(f"monolithic limit exceeded: {n} > {limit} variables")
+    if n > MONOLITHIC_LIMIT:
+        raise GuardError(f"monolithic limit exceeded: {n} > {MONOLITHIC_LIMIT} variables")
     started = time.perf_counter()
     manager = DiagramManager(list(formula.variables), log_mode=(mode == "log10"))
     peak = 0
@@ -457,12 +456,11 @@ class _Verifier(Observer):
         c_before = self._reduce_max(self.master, self.eliminated)
         overall = c_after.max()
         maximizers = c_after == overall
-        condition = self._grid(sign.condition.node) == 1.0
-        shaped = c_before.reshape((2,) * self.n)
-        axis = self.n - var
-        hi = np.broadcast_to(shaped.take([1], axis=axis), (2,) * self.n).reshape(-1)
-        lo = np.broadcast_to(shaped.take([0], axis=axis), (2,) * self.n).reshape(-1)
-        chosen = np.where(condition, hi, lo)
+        # hi and lo: every point with var (bit var-1 of the index) set to 1, 0
+        f = self._grid(sign.function.node)
+        index = np.arange(self.size)
+        hi, lo = index | (1 << (var - 1)), index & ~(1 << (var - 1))
+        chosen = np.where(f[hi] >= f[lo], c_before[hi], c_before[lo])
         if not np.allclose(chosen[maximizers], overall, rtol=self.rtol, atol=0.0):
             raise _CheckFailed(CheckpointFailure(
                 "maximizer-push",
@@ -510,15 +508,14 @@ def verify_checkpoints(
     formula: Formula,
     weights: WeightFunction,
     tree: ProjectJoinTree,
-    limit: int = VERIFY_LIMIT,
 ) -> CheckpointFailure | None:
     """Run a linear-mode solve under full instrumentation.
 
     Returns None when every checkpoint holds, else the first failure. Only
     feasible for small variable counts (exhaustive enumeration inside)."""
-    if formula.var_count > limit:
+    if formula.var_count > VERIFY_LIMIT:
         raise GuardError(
-            f"verification limit exceeded: {formula.var_count} > {limit} variables")
+            f"verification limit exceeded: {formula.var_count} > {VERIFY_LIMIT} variables")
     verifier = _Verifier(formula, weights)
     try:
         solve(formula, weights, tree, mode="linear", observer=verifier)

@@ -271,23 +271,23 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
         for v in clause.variables:
             clauses_of_var[v].append(c)
 
-    descendant_clauses: dict[int, set[int]] = {}
-    for index in tree.post_order():
+    # a subtree is a run of the post-order ending at its root: "below" is a range test
+    position: dict[int, int] = {}
+    first: dict[int, int] = {}
+    leaf_position: dict[int, int] = {}
+    for at, index in enumerate(tree.post_order()):
         node = tree.nodes[index]
+        position[index] = at
+        first[index] = first[node.children[0]] if node.children else at
         if node.is_leaf:
-            descendant_clauses[index] = {node.clause_index}
-        else:
-            bag: set[int] = set()
-            for child in node.children:
-                bag |= descendant_clauses[child]
-            descendant_clauses[index] = bag
+            leaf_position[node.clause_index] = at
     for index in reached:
         node = tree.nodes[index]
         if node.is_leaf:
             continue
         for x in sorted(node.pi):
             for c in clauses_of_var[x]:
-                if c not in descendant_clauses[index]:
+                if not first[index] <= leaf_position[c] <= position[index]:
                     return Violation(
                         "descendant",
                         f"clause {c} uses variable {x} but is not below node {index}",

@@ -1,3 +1,4 @@
+from collections import ChainMap
 from contextlib import contextmanager
 from functools import partial
 
@@ -6,7 +7,7 @@ import pytest
 from xormpe import executor
 from xormpe.diagram import DerivativeSign, DiagramManager
 from xormpe.formula import Clause, ClauseKind, Formula, Literal, WeightFunction
-from xormpe.planner import Heuristic, ProjectJoinTree, primal_graph
+from xormpe.planner import Heuristic, ProjectJoinTree, Violation, primal_graph
 
 MIXED6_TEXT = """p cnf 6 5
 x 2 -4 0
@@ -73,6 +74,55 @@ def _fill_cost(adjacency, var):
     return cost
 
 
+def reference_descendant_violation(tree, formula):
+    """The first descendant violation, found the quadratic way validate
+    used to take: gather the set of every clause below each node, then walk
+    the nodes in validate's reached order, each node's projected variables
+    ascending, each variable's clauses by index. Only for trees that pass
+    validate's structure, gamma and partition checks."""
+    reached = []
+    stack = [tree.root]
+    while stack:
+        index = stack.pop()
+        reached.append(index)
+        stack.extend(tree.nodes[index].children)
+    clauses_of_var = {v: [] for v in formula.variables}
+    for c, clause in enumerate(formula.clauses):
+        for v in clause.variables:
+            clauses_of_var[v].append(c)
+    descendant_clauses = {}
+    for index in tree.post_order():
+        node = tree.nodes[index]
+        if node.is_leaf:
+            descendant_clauses[index] = {node.clause_index}
+        else:
+            bag = set()
+            for child in node.children:
+                bag |= descendant_clauses[child]
+            descendant_clauses[index] = bag
+    for index in reached:
+        node = tree.nodes[index]
+        if node.is_leaf:
+            continue
+        for x in sorted(node.pi):
+            for c in clauses_of_var[x]:
+                if c not in descendant_clauses[index]:
+                    return Violation(
+                        "descendant",
+                        f"clause {c} uses variable {x} but is not below node {index}",
+                        node=index, variable=x, clause=c)
+    return None
+
+
+class _TieToLowSign(DerivativeSign):
+    """A derivative sign that prefers 0 on ties (> in place of >=)."""
+
+    def choose(self, assignment):
+        high = self.function.evaluate(ChainMap({self.var: True}, assignment))
+        low = self.function.evaluate(ChainMap({self.var: False}, assignment))
+        return high > low
+
+
 class FaultyManager(DiagramManager):
     """Diagram manager that seeds one executor fault, so tests can check that
     the checkpoints and the oracle comparisons catch it:
@@ -108,10 +158,7 @@ class FaultyManager(DiagramManager):
         if self.fault == "push_after_project":
             return DerivativeSign(var, self.constant(1.0))
         if self.fault == "tie_break_low":
-            hi = self.restrict(f, var, True).node
-            lo = self.restrict(f, var, False).node
-            node = self._apply("gt", lambda x, y: 1.0 if x > y else 0.0, hi, lo, False)
-            return DerivativeSign(var, self._wrap(node))
+            return _TieToLowSign(var, f)
         return super().derivative_sign(f, var)
 
 

@@ -64,6 +64,17 @@ def test_solve_linear_overflow_exits_3(capsys, tmp_path):
     assert "--mode log10" in err
 
 
+def test_solve_linear_underflow_exits_3(capsys, tmp_path):
+    # 400 free variables weighted 0.01/0.02: the optimum 10^-679.6 underflows
+    path = tmp_path / "tiny.xcnf"
+    path.write_text("p cnf 400 0\n" + "".join(
+        f"w {v} 0.01\nw -{v} 0.02\n" for v in range(1, 401)))
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 3
+    assert not any(l.startswith(("s ", "v ")) for l in out.splitlines())
+    assert "--mode log10" in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run(capsys, ["solve", "/nonexistent/file.xcnf"])
     assert code == 2

@@ -184,8 +184,7 @@ def test_cofactor_operations_pointwise_below_top(any_mgr):
     operations = {
         "low": (lambda f, x: mgr.restrict(f, x, False), lambda lo, hi: lo),
         "high": (lambda f, x: mgr.restrict(f, x, True), lambda lo, hi: hi),
-        "sign": (lambda f, x: mgr.derivative_sign(f, x).condition,
-                 lambda lo, hi: 1.0 if hi >= lo else 0.0),
+        "sign": (mgr.derivative_sign, lambda lo, hi: hi >= lo),
         "max": (mgr.exists_project, max),
     }
     if not mgr.log_mode:
@@ -207,7 +206,8 @@ def test_cofactor_operations_pointwise_below_top(any_mgr):
             g = operation(f, x)
             for a in assignments(set(variables) - {x}):
                 lo, hi = f.evaluate({**a, x: False}), f.evaluate({**a, x: True})
-                assert g.evaluate(a) == pointwise(lo, hi), name
+                got = g.choose(a) if name == "sign" else g.evaluate(a)
+                assert got == pointwise(lo, hi), name
                 ties += name == "sign" and lo == hi
     assert ties > 0
 
@@ -261,26 +261,25 @@ def test_early_projection(mgr):
 
 def test_derivative_sign_constant_conditions(mgr):
     up = mgr.derivative_sign(mgr.literal_weight(1, 10, 100), 1)
-    assert up.condition == mgr.constant(1)
+    assert up.choose({}) is True
     down = mgr.derivative_sign(mgr.literal_weight(1, 100, 10), 1)
-    assert down.condition == mgr.constant(0)
+    assert down.choose({}) is False
 
 
 def test_derivative_sign_conditional(mgr):
     f = mgr.join(mgr.from_clause(xor(1, 2)), mgr.literal_weight(1, 10, 100))
+    nodes = mgr.node_count()
     sign = mgr.derivative_sign(f, 1)
-    assert sign.condition.evaluate({2: False}) == 1.0
-    assert sign.condition.evaluate({2: True}) == 0.0
+    assert mgr.node_count() == nodes  # the sign builds no diagram
     assert sign.choose({2: False}) is True
     assert sign.choose({2: True}) is False
 
 
 def test_derivative_sign_tie_prefers_high(mgr):
     flat = mgr.literal_weight(1, 5, 5)  # reduces to a constant: everything ties
-    assert mgr.derivative_sign(flat, 1).condition == mgr.constant(1)
+    assert mgr.derivative_sign(flat, 1).choose({}) is True
     strict = FaultyManager(mgr.var_order, fault="tie_break_low")
-    assert strict.derivative_sign(strict.literal_weight(1, 5, 5), 1).condition == \
-        strict.constant(0)
+    assert strict.derivative_sign(strict.literal_weight(1, 5, 5), 1).choose({}) is False
 
 
 def test_derivative_sign_ignores_independent_factors(mgr):

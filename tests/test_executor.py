@@ -261,6 +261,33 @@ def test_linear_count_overflow_raises_guard_error():
         count(formula, weights, plan_for(formula))
 
 
+def test_linear_underflow_raises_guard_error():
+    # 400 free variables: the optimum, 0.02^400 = 10^-679.6, is far below the
+    # smallest double
+    formula = Formula(400, [])
+    weights = WeightFunction({v: (0.02, 0.01) for v in formula.variables})
+    tree = plan_for(formula)
+    with pytest.raises(GuardError, match="--mode log10"):
+        solve(formula, weights, tree, mode="linear")
+    with pytest.raises(GuardError, match="--mode log10"):
+        count(formula, weights, tree)
+    logged = solve(formula, weights, tree, mode="log10")
+    assert logged.maximum == pytest.approx(400 * math.log10(0.02), rel=1e-12)
+    assert logged.maximizer == {v: False for v in formula.variables}
+
+
+@pytest.mark.parametrize("formula, weights", [
+    (Formula(3, []), WeightFunction({2: (0, 0), 3: (0.5, 0.25)})),
+    (Formula(2, [disj(1), disj(-1)]), WeightFunction({1: (0.5, 0.25)})),
+], ids=["zero-weight", "unsatisfiable"])
+def test_zero_maximum_is_not_underflow(formula, weights):
+    tree = plan_for(formula)
+    result = solve(formula, weights, tree, mode="linear")
+    assert result.maximum == 0.0
+    assert result.no_model
+    assert count(formula, weights, tree) == 0.0
+
+
 # ------------------------------------------------------------------ statistics
 
 def test_stats_report_width_and_peak(mixed6, unit_weights, mixed6_tree):

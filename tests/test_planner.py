@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from xormpe.planner import (
     validate,
 )
 
-from conftest import disj, reference_order, xor
+from conftest import disj, reference_descendant_violation, reference_order, xor
 
 
 def test_mixed6_tree_is_valid(mixed6, mixed6_tree):
@@ -249,7 +250,22 @@ def test_mutations_are_rejected(mutate, kinds):
         violation = validate(tree, formula)
         assert violation is not None
         assert violation.kind in kinds
+        if violation.kind == "descendant":
+            assert violation == reference_descendant_violation(tree, formula)
     assert applied >= 10
+
+
+def test_validate_memory_is_linear_on_a_chain():
+    # a set per node of every clause below it would take about 207 MB here
+    formula, _ = gen_chain(ChainSpec(3000, 2, 5))
+    tree = plan(formula, heuristic_order(formula, Heuristic.LEXICOGRAPHIC))
+    tracemalloc.start()
+    try:
+        assert validate(tree, formula) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_jt_serialization(mixed6, mixed6_tree):
