@@ -238,3 +238,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

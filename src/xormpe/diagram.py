@@ -12,10 +12,10 @@ The manager has two value domains:
             unit is 0.0 and zero is -inf. Additive operations (pointwise sum)
             are unavailable in this domain.
 
-Every operation runs on one of two recursive kernels: `_apply` combines two
-diagrams pointwise (join, sum, max) and `_project` eliminates one variable by
-combining its two cofactors (max and sum projection, restriction). `support`,
-`size` and `to_dot` share one reachability walk, `_reachable`.
+Three pointwise kernels, built once per manager, combine two diagrams:
+join, max and sum. `_project` eliminates one variable by combining its two
+cofactors with the max or the sum kernel. `size` and `to_dot` share one
+reachability walk, `_reachable`.
 
 The variable order is fixed at construction; there is no dynamic reordering.
 """
@@ -23,6 +23,7 @@ The variable order is fixed at construction; there is no dynamic reordering.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import ChainMap
 from dataclasses import dataclass
@@ -53,11 +54,6 @@ class Function:
         self.manager = manager
         self.node = node
 
-    @property
-    def support(self) -> frozenset[int]:
-        """Variables appearing on some root-to-terminal path."""
-        return self.manager.support(self)
-
     def is_constant(self) -> bool:
         return self.manager.is_terminal(self.node)
 
@@ -80,7 +76,7 @@ class Function:
     def __repr__(self) -> str:
         if self.is_constant():
             return f"Function({self.constant_value()!r})"
-        return f"Function(node={self.node}, support={sorted(self.support)})"
+        return f"Function(node={self.node})"
 
 
 @dataclass(frozen=True)
@@ -129,6 +125,11 @@ class DiagramManager:
 
         self._one = self._terminal(0.0 if log_mode else 1.0)
         self._zero = self._terminal(_NEG_INF if log_mode else 0.0)
+
+        self._join = self._kernel("j", operator.add if log_mode else _times,
+                                  identity=self._one, annihilator=self._zero)
+        self._max = self._kernel("m", max, idempotent=True)
+        self._sum = self._kernel("a", operator.add, identity=self._zero)
 
     # ------------------------------------------------------------------ nodes
 
@@ -221,7 +222,8 @@ class DiagramManager:
 
     # ------------------------------------------------------------ combinators
 
-    def _apply(self, tag, fn, a, b, identity=None, annihilator=None, idempotent=False):
+    def _kernel(self, tag, fn, identity=None, annihilator=None, idempotent=False):
+        """Pointwise fn of two diagrams, as a recursive function of two nodes."""
         cache = self._cache
         level, low, high, value = self._level, self._low, self._high, self._value
         terminal_level = self._terminal_level
@@ -261,56 +263,28 @@ class DiagramManager:
             cache[key] = result
             return result
 
-        return rec(a, b)
+        return rec
 
     def join(self, f: Function, g: Function) -> Function:
         """Pointwise product (sum of logs in log10 mode); a linear product of
         nonzero values that underflows raises GuardError."""
-        times = (lambda x, y: x + y) if self.log_mode else _times
-        return self._wrap(self._apply("j", times, self._root(f), self._root(g),
-                                      identity=self._one, annihilator=self._zero))
-
-    def additive_join(self, f: Function, g: Function) -> Function:
-        """Pointwise sum; linear domain only."""
-        return self._wrap(self._plus(self._root(f), self._root(g)))
-
-    def _max(self, a: int, b: int) -> int:
-        return self._apply("m", max, a, b, idempotent=True)
-
-    def _plus(self, a: int, b: int) -> int:
-        if self.log_mode:
-            raise ValueError("additive operations are unavailable in log10 mode")
-        return self._apply("a", lambda x, y: x + y, a, b, identity=self._zero)
-
-    def restrict(self, f: Function, var: int, value: bool) -> Function:
-        """Cofactor of f with var fixed; f itself if var is out of support."""
-        combine = self._high_cofactor if value else self._low_cofactor
-        return self._wrap(self._project(self._root(f), self._level_of[var], combine))
-
-    # combines for `_project`, which caches under the combine's name
-
-    def _low_cofactor(self, lo: int, hi: int) -> int:
-        return lo
-
-    def _high_cofactor(self, lo: int, hi: int) -> int:
-        return hi
+        return self._wrap(self._join(self._root(f), self._root(g)))
 
     def _project(self, u: int, xlev: int, combine) -> int:
         level, low, high = self._level, self._low, self._high
         cache = self._cache
         mk = self._mk
-        tag = combine.__name__
 
         def rec(node: int) -> int:
             l = level[node]
             if l > xlev:
                 # the variable is absent below this point, but both cofactors
-                # still exist and are equal: max and either cofactor keep the
-                # node, sum doubles it
+                # still exist and are equal: max keeps the node, sum doubles it
                 return combine(node, node)
             if l == xlev:
                 return combine(low[node], high[node])
-            key = ("p", tag, node, xlev)
+            # keyed by the kernel itself: every kernel is a closure named rec
+            key = (combine, node, xlev)
             result = cache.get(key)
             if result is None:
                 result = mk(l, rec(low[node]), rec(high[node]))
@@ -325,7 +299,9 @@ class DiagramManager:
 
     def add_project(self, f: Function, var: int) -> Function:
         """Pointwise sum of the two cofactors; linear domain only."""
-        return self._wrap(self._project(self._root(f), self._level_of[var], self._plus))
+        if self.log_mode:
+            raise ValueError("additive operations are unavailable in log10 mode")
+        return self._wrap(self._project(self._root(f), self._level_of[var], self._sum))
 
     def derivative_sign(self, f: Function, var: int) -> DerivativeSign:
         """Record where assigning var 1 beats assigning it 0.
@@ -367,12 +343,6 @@ class DiagramManager:
                     seen.add(child)
                     stack.append(child)
         return seen
-
-    def support(self, f: Function) -> frozenset[int]:
-        """Variables appearing on some root-to-terminal path."""
-        order, level = self._order, self._level
-        return frozenset(order[level[node]] for node in self._reachable(self._root(f))
-                         if level[node] != self._terminal_level)
 
     def size(self, f: Function) -> int:
         """Number of distinct nodes (terminals included) reachable from f."""

@@ -19,6 +19,7 @@ sign extends maximizers correctly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -36,8 +37,6 @@ from .planner import ProjectJoinTree
 
 MONOLITHIC_LIMIT = 20
 VERIFY_LIMIT = 16
-
-_NEG_INF = float("-inf")
 
 
 @dataclass
@@ -90,9 +89,6 @@ class Observer:
 
     def enter(self, node: int) -> None:
         """Before a node is valuated; its children already are."""
-
-    def internal_start(self, node: int, f: Function) -> None:
-        """f is the unit the children of an internal node are joined into."""
 
     def child_joined(self, node: int, h: Function, previous: Function,
                      joined: Function) -> None:
@@ -175,10 +171,9 @@ def _valuate(
             if observer:
                 observer.built(node_id, f)
         else:
-            f = manager.one()
-            if observer:
-                observer.internal_start(node_id, f)
-            for child in pjt_node.children:
+            # only a clause-free formula has a childless node: its root
+            f = values.pop(pjt_node.children[0]) if pjt_node.children else manager.one()
+            for child in pjt_node.children[1:]:
                 h = values.pop(child)
                 previous, f = f, manager.join(f, h)
                 if observer:
@@ -222,17 +217,16 @@ def solve(
     weight products representable; a linear maximum out of double range
     raises GuardError. `observer` receives every step.
     """
-    if mode not in ("linear", "log10"):
-        raise ValueError(f"unknown mode {mode!r}")
     started = time.perf_counter()
-    manager = DiagramManager(list(formula.variables), log_mode=(mode == "log10"))
+    manager = _manager(formula, mode)
     if observer is None:
         observer = Observer()
     stack: list[DerivativeSign] = []
     width = tree.width()
     _allow_recursion(width)
-    maximum = _root_value(_valuate(manager, formula, tree, weights, None, stack,
-                                   manager.exists_project, observer))
+    root = _valuate(manager, formula, tree, weights, None, stack,
+                    manager.exists_project, observer)
+    maximum = _root_value(root)
 
     if len(stack) != formula.var_count:
         raise InternalError(
@@ -252,7 +246,8 @@ def solve(
             raise InternalError(f"sign not ready: {exc}") from exc
         observer.popped(sign.var, maximizer)
 
-    no_model = maximum == (_NEG_INF if mode == "log10" else 0.0)
+    # terminals are unique per value, so only a zero maximum is the zero node
+    no_model = root == manager.zero()
     stats = SolveStats(
         width=width,
         peak_nodes=observer.peak,
@@ -267,9 +262,16 @@ def count(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree) -> f
     """Weighted model count via the same tree, with additive projection in
     place of existential. Linear domain only; a count out of double range
     raises GuardError."""
-    manager = DiagramManager(list(formula.variables), log_mode=False)
+    manager = _manager(formula, "linear")
     return _root_value(valuate(manager, formula, tree, weights,
                                project=manager.add_project))
+
+
+def _manager(formula: Formula, mode: str) -> DiagramManager:
+    """A manager over the formula's variables in the value domain of mode."""
+    if mode not in ("linear", "log10"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return DiagramManager(list(formula.variables), log_mode=(mode == "log10"))
 
 
 def _root_value(root: Function) -> float:
@@ -293,24 +295,22 @@ def solve_monolithic(
     """Reference path: join every clause and weight into one diagram, then
     eliminate variables highest index first, keeping each intermediate so the
     maximizer can be rebuilt lowest index first."""
-    if mode not in ("linear", "log10"):
-        raise ValueError(f"unknown mode {mode!r}")
+    started = time.perf_counter()
+    manager = _manager(formula, mode)
     n = formula.var_count
     if n > MONOLITHIC_LIMIT:
         raise GuardError(f"monolithic limit exceeded: {n} > {MONOLITHIC_LIMIT} variables")
-    started = time.perf_counter()
-    manager = DiagramManager(list(formula.variables), log_mode=(mode == "log10"))
-    peak = 0
 
-    f = manager.one()
-    for clause in formula.clauses:
-        f = manager.join(f, manager.from_clause(clause))
-        peak = max(peak, manager.size(f))
-    for var in formula.variables:
-        f = manager.join(f, manager.literal_weight(var, *weights.pair(var)))
+    factors = itertools.chain(
+        map(manager.from_clause, formula.clauses),
+        (manager.literal_weight(var, *weights.pair(var)) for var in formula.variables))
+    f = next(factors, None)
+    peak = 0 if f is None else manager.size(f)
+    for g in factors:
+        f = manager.join(f, g)
         peak = max(peak, manager.size(f))
 
-    chain: dict[int, Function] = {n: f}
+    chain: dict[int, Function] = {n: manager.one() if f is None else f}
     for var in range(n, 0, -1):
         f = manager.exists_project(f, var)
         peak = max(peak, manager.size(f))
@@ -322,7 +322,7 @@ def solve_monolithic(
         sign = manager.derivative_sign(chain[var], var)
         maximizer[var] = sign.choose(maximizer)
 
-    no_model = maximum == (_NEG_INF if mode == "log10" else 0.0)
+    no_model = chain[0] == manager.zero()
     stats = SolveStats(width=n, peak_nodes=peak,
                        exec_seconds=time.perf_counter() - started)
     return SolveResult(maximum, maximizer, no_model, mode, stats)
@@ -379,9 +379,12 @@ class _Verifier(Observer):
             self._insert(manager.literal_weight(var, *self.weights.pair(var)))
 
     def _insert(self, f: Function) -> None:
-        self.active[f.node] = self.active.get(f.node, 0) + 1
+        if f.node != self.manager._one:  # the unit is no factor of the product
+            self.active[f.node] = self.active.get(f.node, 0) + 1
 
     def _remove(self, f: Function) -> None:
+        if f.node == self.manager._one:
+            return
         count = self.active.get(f.node, 0)
         if count <= 0:
             raise InternalError(f"active multiset misses node {f.node}")
@@ -437,9 +440,6 @@ class _Verifier(Observer):
 
     def enter(self, node: int) -> None:
         self._check_active("pre-condition", node)
-
-    def internal_start(self, node: int, f: Function) -> None:
-        self._insert(f)
 
     def child_joined(self, node: int, h: Function, previous: Function, joined: Function) -> None:
         self._remove(h)

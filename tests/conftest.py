@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from xormpe import executor
-from xormpe.diagram import DerivativeSign, DiagramManager
+from xormpe.diagram import DerivativeSign, DiagramManager, Function
 from xormpe.formula import Clause, ClauseKind, Formula, Literal, WeightFunction
 from xormpe.planner import Heuristic, ProjectJoinTree, Violation, primal_graph
 
@@ -37,6 +37,18 @@ def project_all(project, f, variables):
     for var in sorted(variables, key=order.index, reverse=True):
         f = project(f, var)
     return f
+
+
+def support(f):
+    """Variables appearing on some root-to-terminal path of f."""
+    mgr = f.manager
+    return {mgr._order[mgr._level[node]] for node in mgr._reachable(f.node)
+            if not mgr.is_terminal(node)}
+
+
+def add(f, g):
+    """Pointwise sum of two functions of one linear-domain manager."""
+    return Function(f.manager, f.manager._sum(f.node, g.node))
 
 
 def reference_order(formula, heuristic):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import xormpe
 from xormpe.benchgen import ChainSpec, gen_chain
 from xormpe.cli import main
 from xormpe.formula import format_formula, parse_formula
@@ -153,6 +159,22 @@ def test_gen_chain_writes_conventional_name(capsys, tmp_path, monkeypatch):
     formula, weights = parse_formula((tmp_path / "chain_n30_k4_s9.xcnf").read_text())
     assert formula.var_count == 30
     assert len(formula.clauses) == 27
+
+
+@pytest.mark.parametrize("module", ["xormpe", "xormpe.cli"])
+def test_module_form_runs_the_cli(tmp_path, module):
+    env = {**os.environ, "PYTHONPATH": str(Path(xormpe.__file__).resolve().parent.parent)}
+
+    def run_module(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    generated = run_module("gen", "chain", "--n", "5", "--k", "2", "--out", "c.xcnf")
+    assert generated.returncode == 0
+    assert (tmp_path / "c.xcnf").exists()
+    solved = run_module("solve", "c.xcnf")
+    assert solved.returncode == 0
+    assert "s MAXIMUM" in solved.stdout
 
 
 def test_gen_chain_require_sat(capsys, tmp_path):

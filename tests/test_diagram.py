@@ -8,7 +8,7 @@ import pytest
 from xormpe.diagram import DiagramManager
 from xormpe.formula import WeightFunction, evaluate_clause
 
-from conftest import FaultyManager, disj, project_all, xor
+from conftest import FaultyManager, add, disj, project_all, support, xor
 
 
 def assignments(variables):
@@ -44,7 +44,7 @@ def random_nonneg_function(mgr, rng, variables):
     if len(variables) >= 2 and rng.random() < 0.7:
         a, b = rng.sample(list(variables), 2)
         clause = xor(a, b) if rng.random() < 0.5 else disj(a, -b)
-        combine = mgr.join if mgr.log_mode else mgr.additive_join
+        combine = mgr.join if mgr.log_mode else add
         f = combine(f, mgr.from_clause(clause))
     return f
 
@@ -62,7 +62,7 @@ def test_constant_identity_and_zero(mgr):
     assert mgr.join(f, one) == f
     assert mgr.join(f, mgr.constant(0)) == mgr.constant(0)
     assert mgr.join(mgr.constant(5), mgr.constant(7)) == mgr.constant(35)
-    assert mgr.constant(3).support == frozenset()
+    assert support(mgr.constant(3)) == set()
 
 
 def test_literal_weight(mgr):
@@ -81,7 +81,7 @@ def test_from_clause_unit(mgr):
     f = mgr.from_clause(disj(1))
     assert f.evaluate({1: True}) == 1.0
     assert f.evaluate({1: False}) == 0.0
-    assert f.support == {1}
+    assert support(f) == {1}
 
 
 def test_from_clause_xor_pair(mgr):
@@ -125,7 +125,7 @@ def test_join_examples(mgr):
 
 def test_join_support_union(mgr):
     f = mgr.join(mgr.from_clause(disj(1, 6)), mgr.literal_weight(3, 2, 5))
-    assert f.support == {1, 3, 6}
+    assert support(f) == {1, 3, 6}
 
 
 def test_join_requires_same_manager(mgr):
@@ -150,7 +150,7 @@ def test_evaluate_after_join_is_product(mgr):
         f = random_nonneg_function(mgr, rng, rng.sample(range(1, 7), 2))
         g = random_nonneg_function(mgr, rng, rng.sample(range(1, 7), 2))
         joined = mgr.join(f, g)
-        for a in assignments(f.support | g.support):
+        for a in assignments(support(f) | support(g)):
             assert joined.evaluate(a) == pytest.approx(
                 f.evaluate(a) * g.evaluate(a), rel=1e-12)
 
@@ -158,22 +158,10 @@ def test_evaluate_after_join_is_product(mgr):
 # ------------------------------------------------------------- additive join
 
 def test_additive_join(mgr):
-    assert mgr.additive_join(mgr.constant(2), mgr.constant(3)) == mgr.constant(5)
+    # the cofactors of xor(1, 4) at x1 = 0 and x1 = 1
     f = mgr.from_clause(xor(1, 4))
-    assert mgr.additive_join(f, mgr.constant(0)) == f
-    cofactor_sum = mgr.additive_join(
-        mgr.restrict(f, 1, False), mgr.restrict(f, 1, True))
+    cofactor_sum = add(mgr.from_clause(disj(4)), mgr.from_clause(disj(-4)))
     assert cofactor_sum == mgr.add_project(f, 1)
-
-
-# -------------------------------------------------------------------- restrict
-
-def test_restrict(mgr):
-    assert mgr.restrict(mgr.from_clause(disj(1, 6)), 1, True) == mgr.constant(1)
-    f = mgr.restrict(mgr.from_clause(xor(2, -4)), 2, False)
-    assert f.evaluate({4: False}) == 1.0
-    assert f.evaluate({4: True}) == 0.0
-    assert mgr.restrict(mgr.constant(7), 3, True) == mgr.constant(7)
 
 
 def test_cofactor_operations_pointwise_below_top(any_mgr):
@@ -182,8 +170,6 @@ def test_cofactor_operations_pointwise_below_top(any_mgr):
     # them sharing a cache tag would hand back each other's results
     mgr = any_mgr
     operations = {
-        "low": (lambda f, x: mgr.restrict(f, x, False), lambda lo, hi: lo),
-        "high": (lambda f, x: mgr.restrict(f, x, True), lambda lo, hi: hi),
         "sign": (mgr.derivative_sign, lambda lo, hi: hi >= lo),
         "max": (mgr.exists_project, max),
     }
@@ -194,11 +180,11 @@ def test_cofactor_operations_pointwise_below_top(any_mgr):
     while cases < 60:
         variables = rng.sample(range(1, 7), rng.randint(3, 4))
         f = random_nonneg_function(mgr, rng, variables)
-        support = sorted(f.support)
-        if len(support) < 2:
+        variables_of_f = sorted(support(f))
+        if len(variables_of_f) < 2:
             continue
         cases += 1
-        x = rng.choice(support[1:])
+        x = rng.choice(variables_of_f[1:])
         names = list(operations)
         rng.shuffle(names)
         for name in names:
@@ -295,7 +281,7 @@ def test_derivative_sign_ignores_independent_factors(mgr):
         x = rng.choice(f_vars)
         sign_f = mgr.derivative_sign(f, x)
         sign_fg = mgr.derivative_sign(mgr.join(f, g), x)
-        shared = (f.support | g.support) - {x}
+        shared = (support(f) | support(g)) - {x}
         for a in assignments(shared):
             if g.evaluate(a) > 0:
                 assert sign_f.choose(a) == sign_fg.choose(a)
@@ -321,7 +307,7 @@ def test_canonicity_random(mgr):
             for _ in range(30)]
     for f in pool:
         for g in pool:
-            variables = f.support | g.support
+            variables = support(f) | support(g)
             if len(variables) > 10:
                 continue
             same = pointwise_equal(f, g, variables)
@@ -361,7 +347,7 @@ def test_size_support_and_dot_agree():
         text = mgr.to_dot(f)
         node_lines = [line for line in text.splitlines() if "shape=" in line]
         assert mgr.size(f) == len(node_lines)
-        assert f.support == {int(v) for v in re.findall(r'label="x(\d+)"', text)}
+        assert support(f) == {int(v) for v in re.findall(r'label="x(\d+)"', text)}
         other, g = build(seed)
         assert other.to_dot(g) == text
 
@@ -378,8 +364,6 @@ def test_log_mode_semantics():
     clause = mgr.from_clause(disj(1))
     assert clause.evaluate({1: False}) == float("-inf")
     assert mgr.literal_weight(1, 0, 1).evaluate({1: False}) == float("-inf")
-    with pytest.raises(ValueError):
-        mgr.additive_join(f, f)
     with pytest.raises(ValueError):
         mgr.add_project(f, 1)
 

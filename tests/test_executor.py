@@ -311,6 +311,23 @@ def test_solve_computes_width_once(mixed6, unit_weights, mixed6_tree, monkeypatc
     assert calls == 1
 
 
+def test_solve_joins_once_per_later_child_and_projected_variable(
+        mixed6, unit_weights, mixed6_tree, monkeypatch):
+    # each internal node starts from its first child and joins the others,
+    # then joins one weight per projected variable: (0 + 0 + 2 + 1 + 1) + 6
+    calls = 0
+    join = DiagramManager.join
+
+    def counting(manager, f, g):
+        nonlocal calls
+        calls += 1
+        return join(manager, f, g)
+
+    monkeypatch.setattr(DiagramManager, "join", counting)
+    solve(mixed6, unit_weights, mixed6_tree)
+    assert calls == 10
+
+
 def test_want_dot_keeps_largest_diagram(mixed6, unit_weights, mixed6_tree):
     result = solve(mixed6, unit_weights, mixed6_tree, want_dot=True)
     assert result.stats.largest_dot is not None

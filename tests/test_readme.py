@@ -4,7 +4,9 @@ so a renamed or removed API cannot leave a stale example behind."""
 import re
 from pathlib import Path
 
+import xormpe
 from xormpe.benchgen import ChainSpec, gen_chain
+from xormpe.executor import Observer
 from xormpe.formula import format_formula
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,3 +22,14 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert "diagram nodes" in capsys.readouterr().out
+
+
+def test_readme_lists_every_observer_event():
+    # every backticked bare name in the Observer paragraph that the package
+    # does not export is an event; setup only hands over the manager
+    paragraphs = README.read_text(encoding="utf-8").split("\n\n")
+    [paragraph] = [p for p in paragraphs if "a subclass of `Observer`" in p]
+    named = set(re.findall(r"`(\w+)`", paragraph)) - set(xormpe.__all__)
+    events = {name for name in vars(Observer)
+              if not name.startswith("_") and name != "setup"}
+    assert named == events
