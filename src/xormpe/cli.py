@@ -108,7 +108,7 @@ def _fmt(value: float) -> str:
 
 def _emit_answer(maximum: float, literals: list[int]) -> None:
     print(f"s MAXIMUM {_fmt(maximum)}")
-    print("v " + " ".join(str(l) for l in literals) + " 0")
+    print(" ".join(["v", *map(str, literals), "0"]))
 
 
 def cmd_solve(args) -> int:
@@ -124,11 +124,12 @@ def cmd_solve(args) -> int:
         if failure is not None:
             return _fail(f"checkpoint {failure.checkpoint} failed: {failure.message}", 1)
 
-    result = executor.solve(formula, weights, tree, mode=args.mode,
-                            want_dot=bool(args.dot))
+    observer = executor.Observer()
+    result = executor.solve(formula, weights, tree, mode=args.mode, observer=observer)
 
     if args.dot:
-        dot = result.stats.largest_dot or "digraph add {\n}\n"
+        largest = observer.largest
+        dot = largest.manager.to_dot(largest) if largest is not None else "digraph add {\n}\n"
         Path(args.dot).write_text(dot, encoding="utf-8")
 
     if args.format == "human":
@@ -164,14 +165,17 @@ def cmd_gen(args) -> int:
     attempts = 1000 if args.require_sat else 1
     seed = args.seed
     for attempt in range(attempts):
-        if args.family == "chain":
-            spec = benchgen.ChainSpec(args.n, args.k, seed + attempt)
-            formula, weights = benchgen.gen_chain(spec)
-            default_name = benchgen.chain_filename(spec)
-        else:
-            formula, weights = benchgen.gen_random(
-                args.n, args.m, args.max_len, args.xor_prob, seed + attempt)
-            default_name = f"rand_n{args.n}_m{args.m}_s{seed + attempt}.xcnf"
+        try:
+            if args.family == "chain":
+                spec = benchgen.ChainSpec(args.n, args.k, seed + attempt)
+                formula, weights = benchgen.gen_chain(spec)
+                default_name = benchgen.chain_filename(spec)
+            else:
+                formula, weights = benchgen.gen_random(
+                    args.n, args.m, args.max_len, args.xor_prob, seed + attempt)
+                default_name = f"rand_n{args.n}_m{args.m}_s{seed + attempt}.xcnf"
+        except ValueError as exc:  # arguments out of the generator's range
+            raise _CliError(str(exc), 2) from exc
         if not args.require_sat or _is_satisfiable(formula, weights):
             path = Path(args.out) if args.out else Path(default_name)
             path.write_text(format_formula(formula, weights), encoding="utf-8")

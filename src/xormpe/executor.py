@@ -19,7 +19,6 @@ sign extends maximizers correctly.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import threading
@@ -44,7 +43,6 @@ class SolveStats:
     width: int = 0
     peak_nodes: int = 0
     exec_seconds: float = 0.0
-    largest_dot: str | None = None
 
 
 @dataclass
@@ -64,11 +62,11 @@ class Observer:
     order. Pass an instance as `observer=` to `solve` or `valuate`, one
     instance per solve.
 
-    The base class tracks, in `built`, the largest intermediate diagram,
-    which `solve` reports as `SolveStats.peak_nodes` (and renders for
-    `want_dot`); every other event is a no-op. Subclasses override the events
-    they need; one that overrides `built` calls `super().built` to keep the
-    statistics.
+    The base class tracks, in `built`, the largest intermediate diagram as
+    `largest` and its size as `peak`, which `solve` reports as
+    `SolveStats.peak_nodes`; every other event is a no-op. Subclasses
+    override the events they need; one that overrides `built` calls
+    `super().built` to keep the statistics.
     """
 
     def __init__(self) -> None:
@@ -117,15 +115,17 @@ class Observer:
 _recursion_lock = threading.Lock()
 
 
-def _allow_recursion(width: int) -> None:
+def _allow_recursion(depth: int) -> None:
     """The tree is walked in a loop, but the diagram kernels recurse one frame
-    per variable level, so a valuation needs about `width` frames above its
-    caller's. Raise the interpreter's limit when that may not fit, and never
-    lower it: a solve in another thread may rely on the higher value."""
-    needed = 2 * width + 200
-    with _recursion_lock:
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
+    per variable level, so a node over `depth` variables needs about `depth`
+    frames above its caller's. Raise the interpreter's limit when that may not
+    fit, and never lower it: a solve in another thread may rely on the higher
+    value."""
+    needed = 2 * depth + 200
+    if sys.getrecursionlimit() < needed:
+        with _recursion_lock:
+            if sys.getrecursionlimit() < needed:
+                sys.setrecursionlimit(needed)
 
 
 def valuate(
@@ -143,22 +143,8 @@ def valuate(
     `stack`, one per projected variable, before each projection. `project`
     eliminates one variable: `manager.exists_project` by default,
     `manager.add_project` to count. `observer` receives every step."""
-    _allow_recursion(tree.width())
-    return _valuate(manager, formula, tree, weights, node, stack,
-                    project or manager.exists_project, observer)
-
-
-def _valuate(
-    manager: DiagramManager,
-    formula: Formula,
-    tree: ProjectJoinTree,
-    weights: WeightFunction,
-    node: int | None,
-    stack: list[DerivativeSign] | None,
-    project: Callable[[Function, int], Function],
-    observer: Observer | None,
-) -> Function:
-    """`valuate` for a caller that has already sized the recursion limit."""
+    if project is None:
+        project = manager.exists_project
     if observer:
         observer.setup(manager)
     values: dict[int, Function] = {}
@@ -171,6 +157,8 @@ def _valuate(
             if observer:
                 observer.built(node_id, f)
         else:
+            # every function met here depends only on vars and pi, which are disjoint
+            _allow_recursion(len(pjt_node.vars) + len(pjt_node.pi))
             # only a clause-free formula has a childless node: its root
             f = values.pop(pjt_node.children[0]) if pjt_node.children else manager.one()
             for child in pjt_node.children[1:]:
@@ -207,7 +195,6 @@ def solve(
     weights: WeightFunction,
     tree: ProjectJoinTree,
     mode: str = "linear",
-    want_dot: bool = False,
     observer: Observer | None = None,
 ) -> SolveResult:
     """Maximum of the weighted formula plus one maximizing assignment.
@@ -222,10 +209,7 @@ def solve(
     if observer is None:
         observer = Observer()
     stack: list[DerivativeSign] = []
-    width = tree.width()
-    _allow_recursion(width)
-    root = _valuate(manager, formula, tree, weights, None, stack,
-                    manager.exists_project, observer)
+    root = valuate(manager, formula, tree, weights, stack=stack, observer=observer)
     maximum = _root_value(root)
 
     if len(stack) != formula.var_count:
@@ -249,12 +233,10 @@ def solve(
     # terminals are unique per value, so only a zero maximum is the zero node
     no_model = root == manager.zero()
     stats = SolveStats(
-        width=width,
+        width=tree.width(),
         peak_nodes=observer.peak,
         exec_seconds=time.perf_counter() - started,
     )
-    if want_dot and observer.largest is not None:
-        stats.largest_dot = manager.to_dot(observer.largest)
     return SolveResult(maximum, maximizer, no_model, mode, stats)
 
 
@@ -292,40 +274,16 @@ def solve_monolithic(
     weights: WeightFunction,
     mode: str = "linear",
 ) -> SolveResult:
-    """Reference path: join every clause and weight into one diagram, then
-    eliminate variables highest index first, keeping each intermediate so the
-    maximizer can be rebuilt lowest index first."""
-    started = time.perf_counter()
-    manager = _manager(formula, mode)
+    """Reference path: `solve` on the one-node plan, whose root joins every
+    clause and then projects every variable, so nothing is projected early.
+    `SolveStats.peak_nodes` is the largest leaf, child join or projection, as
+    for any plan."""
     n = formula.var_count
     if n > MONOLITHIC_LIMIT:
         raise GuardError(f"monolithic limit exceeded: {n} > {MONOLITHIC_LIMIT} variables")
-
-    factors = itertools.chain(
-        map(manager.from_clause, formula.clauses),
-        (manager.literal_weight(var, *weights.pair(var)) for var in formula.variables))
-    f = next(factors, None)
-    peak = 0 if f is None else manager.size(f)
-    for g in factors:
-        f = manager.join(f, g)
-        peak = max(peak, manager.size(f))
-
-    chain: dict[int, Function] = {n: manager.one() if f is None else f}
-    for var in range(n, 0, -1):
-        f = manager.exists_project(f, var)
-        peak = max(peak, manager.size(f))
-        chain[var - 1] = f
-    maximum = _root_value(chain[0])
-
-    maximizer: dict[int, bool] = {}
-    for var in range(1, n + 1):
-        sign = manager.derivative_sign(chain[var], var)
-        maximizer[var] = sign.choose(maximizer)
-
-    no_model = chain[0] == manager.zero()
-    stats = SolveStats(width=n, peak_nodes=peak,
-                       exec_seconds=time.perf_counter() - started)
-    return SolveResult(maximum, maximizer, no_model, mode, stats)
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal(range(len(formula.clauses)), formula.variables)
+    return solve(formula, weights, tree, mode)
 
 
 # --------------------------------------------------------------- verification
@@ -362,7 +320,7 @@ class _Verifier(Observer):
             var: ((indices >> (var - 1)) & 1) == 1
             for var in formula.variables
         }
-        self.master = brute_solve(formula, weights, limit=self.n).values
+        self.master = brute_solve(formula, weights).values
         self.eliminated: set[int] = set()
         self.active: dict[int, int] = {}  # node id -> multiplicity
         self._grids: dict[int, np.ndarray] = {}

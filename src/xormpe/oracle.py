@@ -48,12 +48,12 @@ class OracleResult:
         return result
 
 
-def brute_solve(formula: Formula, weights: WeightFunction, limit: int = ORACLE_LIMIT) -> OracleResult:
+def brute_solve(formula: Formula, weights: WeightFunction) -> OracleResult:
     """Enumerate all assignments; return the maximum, its witnesses, and the
     weighted model count."""
     n = formula.var_count
-    if n > limit:
-        raise GuardError(f"oracle limit exceeded: {n} > {limit} variables")
+    if n > ORACLE_LIMIT:
+        raise GuardError(f"oracle limit exceeded: {n} > {ORACLE_LIMIT} variables")
     size = 1 << n
     indices = np.arange(size, dtype=np.int64)
     bits = [(indices >> (var - 1)) & 1 == 1 for var in range(1, n + 1)]

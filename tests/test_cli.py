@@ -199,6 +199,30 @@ def test_gen_random(capsys, tmp_path):
     assert len(formula.clauses) == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--n", "5", "--k", "9"],
+    ["random", "--n", "3", "--m", "2", "--max-len", "5"],
+    ["random", "--n", "3", "--m", "2", "--max-len", "2", "--xor-prob", "2"],
+], ids=["chain-k", "random-max-len", "random-xor-prob"])
+def test_gen_out_of_range_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["gen", *argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_zero_variable_answer_line(capsys, tmp_path, command):
+    path = tmp_path / "empty.xcnf"
+    path.write_text("p cnf 0 0\n")
+    code, out, _ = run(capsys, [command, str(path)])
+    assert code == 0
+    assert out.endswith("s MAXIMUM 1\nv 0\n")
+
+
 def test_oracle_output(capsys, unit_file):
     code, out, _ = run(capsys, ["oracle", unit_file])
     assert code == 0

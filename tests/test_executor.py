@@ -329,9 +329,13 @@ def test_solve_joins_once_per_later_child_and_projected_variable(
 
 
 def test_want_dot_keeps_largest_diagram(mixed6, unit_weights, mixed6_tree):
-    result = solve(mixed6, unit_weights, mixed6_tree, want_dot=True)
-    assert result.stats.largest_dot is not None
-    assert result.stats.largest_dot.startswith("digraph")
+    # the observer keeps the diagram that --dot renders: the one whose size
+    # solve reports as peak_nodes
+    observer = Observer()
+    result = solve(mixed6, unit_weights, mixed6_tree, observer=observer)
+    assert observer.largest is not None
+    assert observer.manager.size(observer.largest) == result.stats.peak_nodes
+    assert observer.manager.to_dot(observer.largest).startswith("digraph")
 
 
 # ----------------------------------------------------------------- checkpoints
@@ -458,6 +462,20 @@ def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
     result = solve(wide, WeightFunction(), wide_tree, observer=NarrowSolveMidway())
     assert result.maximum == 1.0
     assert all(result.maximizer.values())
+
+
+def test_subtree_valuation_sizes_recursion_from_its_own_nodes():
+    # a sibling subtree over more variables than the current limit allows
+    # must not raise the limit for a valuation that never enters it
+    wide = sys.getrecursionlimit()
+    formula = Formula(wide + 2, [disj(1, 2), disj(*range(3, wide + 3))])
+    tree = ProjectJoinTree(formula)
+    narrow = tree.add_internal([0], [1, 2])
+    tree.root = tree.add_internal([narrow, tree.add_internal([1], range(3, wide + 3))], [])
+    manager = DiagramManager(list(formula.variables))
+    f = valuate(manager, formula, tree, WeightFunction(), node=narrow)
+    assert f == manager.constant(1)
+    assert sys.getrecursionlimit() == wide
 
 
 def test_solve_leaves_recursion_limit_alone():
