@@ -12,10 +12,12 @@ The manager has two value domains:
             unit is 0.0 and zero is -inf. Additive operations (pointwise sum)
             are unavailable in this domain.
 
-Three pointwise kernels, built once per manager, combine two diagrams:
-join, max and sum. `_project` eliminates one variable by combining its two
-cofactors with the max or the sum kernel. `size` and `to_dot` share one
-reachability walk, `_reachable`.
+The join kernel is built once per manager. `_eliminate` projects a variable
+out together with its literal weights: it rebuilds the nodes above the
+variable and walks its two cofactors as a pair below, emitting the max (for
+`exists_project`) or the sum (`add_project`) of w_neg (x) lo and w_pos (x) hi,
+so no weighted product is built; (x) is `_weigh`, the join kernel's rule for
+two values. `size` and `to_dot` share one reachability walk, `_reachable`.
 
 The variable order is fixed at construction; there is no dynamic reordering.
 """
@@ -81,19 +83,23 @@ class Function:
 
 @dataclass(frozen=True)
 class DerivativeSign:
-    """Which polarity of a variable maximizes a function, per co-assignment.
+    """Which polarity of a variable maximizes a function times the
+    variable's weights (`w_neg`, `w_pos`, in the manager's value domain).
 
-    `function` is the weighted product the sign was taken on; `choose` compares
-    its two completions at one co-assignment and picks 1 on a tie.
+    `choose` weighs the function's two completions at one co-assignment by the
+    join kernel's rules and picks 1 on a tie.
     """
 
     var: int
     function: Function
+    w_neg: float
+    w_pos: float
 
     def choose(self, assignment: Assignment) -> bool:
+        f, weigh = self.function, self.function.manager._weigh
         # a copy of the assignment per sign would make reconstruction quadratic
-        high = self.function.evaluate(ChainMap({self.var: True}, assignment))
-        low = self.function.evaluate(ChainMap({self.var: False}, assignment))
+        high = weigh(f.evaluate(ChainMap({self.var: True}, assignment)), self.w_pos)
+        low = weigh(f.evaluate(ChainMap({self.var: False}, assignment)), self.w_neg)
         return high >= low
 
 
@@ -126,10 +132,18 @@ class DiagramManager:
         self._one = self._terminal(0.0 if log_mode else 1.0)
         self._zero = self._terminal(_NEG_INF if log_mode else 0.0)
 
-        self._join = self._kernel("j", operator.add if log_mode else _times,
-                                  identity=self._one, annihilator=self._zero)
-        self._max = self._kernel("m", max, idempotent=True)
-        self._sum = self._kernel("a", operator.add, identity=self._zero)
+        times = operator.add if log_mode else _times
+        self._join = self._kernel("j", times, identity=self._one, annihilator=self._zero)
+        one, zero = self._value[self._one], self._value[self._zero]
+
+        def weigh(a: float, w: float) -> float:
+            """The join's product of two values by the join kernel's rules:
+            the unit passes the other through, a zero gives zero (never NaN)."""
+            if a == one or w == one:
+                return w if a == one else a
+            return zero if a == zero or w == zero else times(a, w)
+
+        self._weigh = weigh
 
     # ------------------------------------------------------------------ nodes
 
@@ -187,15 +201,20 @@ class DiagramManager:
         """Annihilator of the join algebra (0 linear, -inf in log10)."""
         return self._wrap(self._zero)
 
-    def literal_weight(self, var: int, w_neg: float, w_pos: float) -> Function:
-        """Single-variable weight function; takes linear-domain weights."""
+    def _weights(self, var: int, w_neg: float, w_pos: float) -> tuple[float, float]:
+        """var's linear-domain weights in the manager's value domain."""
         if w_neg < 0 or w_pos < 0:
             raise ValueError(f"negative weight for variable {var}")
         if self.log_mode:
-            w_neg = math.log10(w_neg) if w_neg > 0 else _NEG_INF
-            w_pos = math.log10(w_pos) if w_pos > 0 else _NEG_INF
+            return (math.log10(w_neg) if w_neg > 0 else _NEG_INF,
+                    math.log10(w_pos) if w_pos > 0 else _NEG_INF)
+        return float(w_neg), float(w_pos)
+
+    def literal_weight(self, var: int, w_neg: float, w_pos: float) -> Function:
+        """Single-variable weight function; takes linear-domain weights."""
+        w_neg, w_pos = self._weights(var, w_neg, w_pos)
         level = self._level_of[var]
-        return self._wrap(self._mk(level, self._terminal(float(w_neg)), self._terminal(float(w_pos))))
+        return self._wrap(self._mk(level, self._terminal(w_neg), self._terminal(w_pos)))
 
     def from_clause(self, clause: Clause) -> Function:
         """0/1 indicator of the clause (also in log10 mode: -inf/0)."""
@@ -222,7 +241,7 @@ class DiagramManager:
 
     # ------------------------------------------------------------ combinators
 
-    def _kernel(self, tag, fn, identity=None, annihilator=None, idempotent=False):
+    def _kernel(self, tag, fn, identity=None, annihilator=None):
         """Pointwise fn of two diagrams, as a recursive function of two nodes."""
         cache = self._cache
         level, low, high, value = self._level, self._low, self._high, self._value
@@ -238,8 +257,6 @@ class DiagramManager:
                     return u
             if annihilator is not None and (u == annihilator or v == annihilator):
                 return annihilator
-            if idempotent and u == v:
-                return u
             if u > v:  # every fn is commutative, so one cache key serves both orders
                 u, v = v, u
             key = (tag, u, v)
@@ -251,14 +268,10 @@ class DiagramManager:
                 result = terminal(fn(value[u], value[v]))
             else:
                 top = lu if lu < lv else lv
-                if lu == top:
-                    u0, u1 = low[u], high[u]
-                else:
-                    u0 = u1 = u
-                if lv == top:
-                    v0, v1 = low[v], high[v]
-                else:
-                    v0 = v1 = v
+                u0 = low[u] if lu == top else u
+                u1 = high[u] if lu == top else u
+                v0 = low[v] if lv == top else v
+                v1 = high[v] if lv == top else v
                 result = mk(top, rec(u0, v0), rec(u1, v1))
             cache[key] = result
             return result
@@ -270,46 +283,73 @@ class DiagramManager:
         nonzero values that underflows raises GuardError."""
         return self._wrap(self._join(self._root(f), self._root(g)))
 
-    def _project(self, u: int, xlev: int, combine) -> int:
-        level, low, high = self._level, self._low, self._high
-        cache = self._cache
-        mk = self._mk
+    def _eliminate(self, f: Function, var: int, w_neg: float, w_pos: float,
+                   tag: str, combine) -> Function:
+        """combine(w_neg (x) f|var=0, w_pos (x) f|var=1) pointwise in one pass
+        over f, which never builds a weighted copy of either cofactor."""
+        xlev = self._level_of[var]
+        w0, w1 = self._weights(var, w_neg, w_pos)
+        level, low, high, value = self._level, self._low, self._high, self._value
+        terminal_level = self._terminal_level
+        cache, mk, terminal, weigh = self._cache, self._mk, self._terminal, self._weigh
+        keep = combine is max and w0 == w1 == value[self._one]  # then max(a, a) is a
+        above = tag.upper()
+
+        def pair(a: int, b: int) -> int:
+            if keep and a == b:
+                return a
+            key = (tag, a, b, w0, w1)
+            result = cache.get(key)
+            if result is not None:
+                return result
+            la, lb = level[a], level[b]
+            if la == terminal_level and lb == terminal_level:
+                result = terminal(combine(weigh(value[a], w0), weigh(value[b], w1)))
+            else:
+                top = la if la < lb else lb
+                a0 = low[a] if la == top else a
+                a1 = high[a] if la == top else a
+                b0 = low[b] if lb == top else b
+                b1 = high[b] if lb == top else b
+                result = mk(top, pair(a0, b0), pair(a1, b1))
+            cache[key] = result
+            return result
 
         def rec(node: int) -> int:
             l = level[node]
-            if l > xlev:
-                # the variable is absent below this point, but both cofactors
-                # still exist and are equal: max keeps the node, sum doubles it
-                return combine(node, node)
+            if l > xlev:  # var is absent below here: both cofactors are node
+                return pair(node, node)
             if l == xlev:
-                return combine(low[node], high[node])
-            # keyed by the kernel itself: every kernel is a closure named rec
-            key = (combine, node, xlev)
+                return pair(low[node], high[node])
+            key = (above, node, xlev, w0, w1)
             result = cache.get(key)
             if result is None:
                 result = mk(l, rec(low[node]), rec(high[node]))
                 cache[key] = result
             return result
 
-        return rec(u)
+        return self._wrap(rec(self._root(f)))
 
-    def exists_project(self, f: Function, var: int) -> Function:
-        """Pointwise max of the two cofactors; removes var from the support."""
-        return self._wrap(self._project(self._root(f), self._level_of[var], self._max))
+    def exists_project(self, f: Function, var: int,
+                       w_neg: float = 1.0, w_pos: float = 1.0) -> Function:
+        """Pointwise max of the two cofactors, each times var's linear-domain
+        weight for that polarity; removes var from the support."""
+        return self._eliminate(f, var, w_neg, w_pos, "m", max)
 
-    def add_project(self, f: Function, var: int) -> Function:
-        """Pointwise sum of the two cofactors; linear domain only."""
+    def add_project(self, f: Function, var: int,
+                    w_neg: float = 1.0, w_pos: float = 1.0) -> Function:
+        """Pointwise sum of the two weighted cofactors; linear domain only."""
         if self.log_mode:
             raise ValueError("additive operations are unavailable in log10 mode")
-        return self._wrap(self._project(self._root(f), self._level_of[var], self._sum))
+        return self._eliminate(f, var, w_neg, w_pos, "a", operator.add)
 
-    def derivative_sign(self, f: Function, var: int) -> DerivativeSign:
-        """Record where assigning var 1 beats assigning it 0.
-
-        A tie counts as a win for the 1 branch so maximizers are reproducible.
-        """
+    def derivative_sign(self, f: Function, var: int,
+                        w_neg: float = 1.0, w_pos: float = 1.0) -> DerivativeSign:
+        """Record where assigning var 1 beats assigning it 0 in f times var's
+        linear-domain weights. A tie counts as a win for the 1 branch so
+        maximizers are reproducible."""
         self._root(f)  # a function of another manager raises ValueError
-        return DerivativeSign(var, f)
+        return DerivativeSign(var, f, *self._weights(var, w_neg, w_pos))
 
     # ------------------------------------------------------------- inspection
 

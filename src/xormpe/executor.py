@@ -2,13 +2,13 @@
 
 A solve walks a project-join tree bottom-up. Each leaf turns into the clause's
 indicator diagram; each internal node joins its children's results and then,
-variable by variable (ascending index), joins the variable's weight function,
-records the derivative sign of the weighted partial product, and projects the
-variable out. The root's valuation is a constant holding the maximum; the
-recorded signs are popped in reverse to rebuild a maximizing assignment. The
-sign must be taken after the weight joins in: it has to cover every remaining
-factor that depends on the variable, or unconstrained variables would tie and
-lose their weight preference.
+variable by variable (ascending index), records the derivative sign of the
+partial product under the variable's literal weights and projects the variable
+out with those weights in one pass, so the weighted product is never built.
+The root's valuation is a constant holding the maximum; the recorded signs are
+popped in reverse to rebuild a maximizing assignment. The sign carries the
+weights: it has to cover every remaining factor that depends on the variable,
+or unconstrained variables would tie and lose their weight preference.
 
 `verify_checkpoints` reruns a solve with an observer that maintains the
 set of eliminated variables and the multiset of active functions, checking at
@@ -96,11 +96,11 @@ class Observer:
         """Every child is joined in; f is their product."""
 
     def sign_pushed(self, node: int, var: int, sign: DerivativeSign) -> None:
-        """The sign of var was recorded, before var is projected out."""
+        """var's sign, its weights included, was recorded before var is projected."""
 
     def projected(self, node: int, var: int, previous: Function,
-                  weight_func: Function, result: Function) -> None:
-        """var's weight was joined into previous and var projected out."""
+                  result: Function) -> None:
+        """var was projected out of previous under var's literal weights."""
 
     def exit(self, node: int, f: Function) -> None:
         """f is the node's valuation."""
@@ -135,14 +135,15 @@ def valuate(
     weights: WeightFunction,
     node: int | None = None,
     stack: list[DerivativeSign] | None = None,
-    project: Callable[[Function, int], Function] | None = None,
+    project: Callable[[Function, int, float, float], Function] | None = None,
     observer: Observer | None = None,
 ) -> Function:
     """Valuation of one tree node (the root by default), children before
     parents in one pass over its subtree. Derivative signs are pushed onto
     `stack`, one per projected variable, before each projection. `project`
-    eliminates one variable: `manager.exists_project` by default,
-    `manager.add_project` to count. `observer` receives every step."""
+    eliminates one variable under its linear-domain weights:
+    `manager.exists_project` by default, `manager.add_project` to count.
+    `observer` receives every step."""
     if project is None:
         project = manager.exists_project
     if observer:
@@ -170,20 +171,17 @@ def valuate(
             if observer:
                 observer.joins_done(node_id, f)
             for x in sorted(pjt_node.pi):
-                weight_func = manager.literal_weight(x, *weights.pair(x))
-                # the weight joins in before the sign is recorded: the sign must
-                # cover every remaining factor that depends on x, and at this
-                # point that is exactly the partial product times the weight
-                weighted = manager.join(f, weight_func)
+                w_neg, w_pos = weights.pair(x)
                 if stack is not None:
-                    sign = manager.derivative_sign(weighted, x)
+                    # the sign covers every remaining factor depending on x: f and x's weights
+                    sign = manager.derivative_sign(f, x, w_neg, w_pos)
                     stack.append(sign)
                     if observer:
                         observer.sign_pushed(node_id, x, sign)
-                previous, f = f, project(weighted, x)
+                previous, f = f, project(f, x, w_neg, w_pos)
                 if observer:
                     observer.built(node_id, f)
-                    observer.projected(node_id, x, previous, weight_func, f)
+                    observer.projected(node_id, x, previous, f)
         if observer:
             observer.exit(node_id, f)
         values[node_id] = f
@@ -415,7 +413,7 @@ class _Verifier(Observer):
         overall = c_after.max()
         maximizers = c_after == overall
         # hi and lo: every point with var (bit var-1 of the index) set to 1, 0
-        f = self._grid(sign.function.node)
+        f = self._grid(sign.function.node) * np.where(self.bits[var], sign.w_pos, sign.w_neg)
         index = np.arange(self.size)
         hi, lo = index | (1 << (var - 1)), index & ~(1 << (var - 1))
         chosen = np.where(f[hi] >= f[lo], c_before[hi], c_before[lo])
@@ -426,9 +424,9 @@ class _Verifier(Observer):
                 node=node, variable=var))
 
     def projected(self, node: int, var: int, previous: Function,
-                  weight_func: Function, result: Function) -> None:
+                  result: Function) -> None:
         self._remove(previous)
-        self._remove(weight_func)
+        self._remove(self.manager.literal_weight(var, *self.weights.pair(var)))
         self._insert(result)
         self.eliminated.add(var)
         self._check_active("project-condition", node, variable=var)

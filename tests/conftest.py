@@ -1,4 +1,5 @@
 from collections import ChainMap
+import operator
 from contextlib import contextmanager
 from functools import partial
 
@@ -48,7 +49,15 @@ def support(f):
 
 def add(f, g):
     """Pointwise sum of two functions of one linear-domain manager."""
-    return Function(f.manager, f.manager._sum(f.node, g.node))
+    mgr = f.manager
+    return Function(mgr, mgr._kernel("a", operator.add, identity=mgr._zero)(f.node, g.node))
+
+
+def join_then_project(project, f, var, w_neg, w_pos):
+    """What a weighted projection computed before it was one pass: join var's
+    weight function into f, then project var out with unit weights."""
+    mgr = f.manager
+    return project(mgr.join(f, mgr.literal_weight(var, w_neg, w_pos)), var)
 
 
 def reference_order(formula, heuristic):
@@ -130,8 +139,9 @@ class _TieToLowSign(DerivativeSign):
     """A derivative sign that prefers 0 on ties (> in place of >=)."""
 
     def choose(self, assignment):
-        high = self.function.evaluate(ChainMap({self.var: True}, assignment))
-        low = self.function.evaluate(ChainMap({self.var: False}, assignment))
+        f, weigh = self.function, self.function.manager._weigh
+        high = weigh(f.evaluate(ChainMap({self.var: True}, assignment)), self.w_pos)
+        low = weigh(f.evaluate(ChainMap({self.var: False}, assignment)), self.w_neg)
         return high > low
 
 
@@ -139,8 +149,8 @@ class FaultyManager(DiagramManager):
     """Diagram manager that seeds one executor fault, so tests can check that
     the checkpoints and the oracle comparisons catch it:
 
-    * skip_weight_join: the first join right after a literal_weight returns
-      its left operand, as if that weight were never joined in;
+    * skip_weight_join: the first weighted projection runs with unit
+      weights, as if that variable's weight were never joined in;
     * push_after_project: every derivative sign is the constant 1, which is
       what a sign taken after the projection would be;
     * tie_break_low: signs prefer 0 on ties (> in place of >=).
@@ -154,24 +164,26 @@ class FaultyManager(DiagramManager):
         super().__init__(var_order, log_mode)
         self.fault = fault
         self._skip_armed = fault == "skip_weight_join"
-        self._last_weight = None
 
-    def literal_weight(self, var, w_neg, w_pos):
-        self._last_weight = super().literal_weight(var, w_neg, w_pos)
-        return self._last_weight
-
-    def join(self, f, g):
-        if self._skip_armed and g is self._last_weight:
+    def _drop_first_weights(self, w_neg, w_pos):
+        if self._skip_armed:
             self._skip_armed = False
-            return f
-        return super().join(f, g)
+            return 1.0, 1.0
+        return w_neg, w_pos
 
-    def derivative_sign(self, f, var):
+    def exists_project(self, f, var, w_neg=1.0, w_pos=1.0):
+        return super().exists_project(f, var, *self._drop_first_weights(w_neg, w_pos))
+
+    def add_project(self, f, var, w_neg=1.0, w_pos=1.0):
+        return super().add_project(f, var, *self._drop_first_weights(w_neg, w_pos))
+
+    def derivative_sign(self, f, var, w_neg=1.0, w_pos=1.0):
         if self.fault == "push_after_project":
-            return DerivativeSign(var, self.constant(1.0))
+            return super().derivative_sign(self.one(), var)
+        sign = super().derivative_sign(f, var, w_neg, w_pos)
         if self.fault == "tie_break_low":
-            return _TieToLowSign(var, f)
-        return super().derivative_sign(f, var)
+            return _TieToLowSign(var, f, sign.w_neg, sign.w_pos)
+        return sign
 
 
 @contextmanager

@@ -3,9 +3,14 @@
 One SHA-256 covers the linear-mode `solve` maximum, maximizer and `no_model`
 flag and the `count` of 200 seeded `gen_random` instances under every
 planning heuristic. Floats enter as `float.hex()`, so a change in the last
-bit trips it; log10 values (which depend on the platform's libm) and
-statistics stay out, so only a real answer change does. A change that means
-to alter answers regenerates the digest with `answer_digest()` and says why.
+bit trips it; statistics stay out, so only a real answer change does.
+
+A second SHA-256 covers the log10-mode maximum and maximizer of the same
+instances. log10 values depend on the platform's libm, so that digest pins
+this platform's answers; on another libm it is regenerated, not loosened.
+
+A change that means to alter answers regenerates a digest with
+`answer_digest()` and says why.
 """
 
 import hashlib
@@ -16,6 +21,7 @@ from xormpe.executor import count, solve
 from xormpe.planner import Heuristic, heuristic_order, plan
 
 DIGEST = "20b55a1b8c0870e2caea6e81509c8b0683854fc42dc6061e1b3a126fc9857a30"
+LOG10_DIGEST = "1adaf868371b663ebb0461838be42e077b1dc5837096841933e8282fd52f1391"
 
 
 def digest_instance(trial):
@@ -29,19 +35,27 @@ def digest_instance(trial):
     return formula, weights
 
 
-def answer_digest(trials=200):
+def answer_digest(trials=200, mode="linear"):
     digest = hashlib.sha256()
     for trial in range(trials):
         formula, weights = digest_instance(trial)
         for heuristic in Heuristic:
             tree = plan(formula, heuristic_order(formula, heuristic))
-            result = solve(formula, weights, tree)
-            record = (trial, heuristic.value, result.maximum.hex(),
-                      result.maximizer_literals(), result.no_model,
-                      count(formula, weights, tree).hex())
+            result = solve(formula, weights, tree, mode=mode)
+            if mode == "linear":
+                record = (trial, heuristic.value, result.maximum.hex(),
+                          result.maximizer_literals(), result.no_model,
+                          count(formula, weights, tree).hex())
+            else:
+                record = (trial, heuristic.value, result.maximum.hex(),
+                          result.maximizer_literals())
             digest.update(repr(record).encode() + b"\n")
     return digest.hexdigest()
 
 
 def test_answers_match_the_pinned_digest():
     assert answer_digest() == DIGEST
+
+
+def test_log10_answers_match_the_pinned_digest():
+    assert answer_digest(mode="log10") == LOG10_DIGEST

@@ -6,9 +6,11 @@ import re
 import pytest
 
 from xormpe.diagram import DiagramManager
+from xormpe.errors import GuardError
 from xormpe.formula import WeightFunction, evaluate_clause
 
-from conftest import FaultyManager, add, disj, project_all, support, xor
+from conftest import (FaultyManager, add, disj, join_then_project, project_all, support,
+                      xor)
 
 
 def assignments(variables):
@@ -241,6 +243,85 @@ def test_early_projection(mgr):
         for project in (mgr.exists_project, mgr.add_project):
             assert project_all(project, mgr.join(f, g), scope) == \
                 mgr.join(project_all(project, f, scope), g)
+
+
+# a zero weight, a zero pair, equal weights, unit weights and unequal ones
+WEIGHT_PAIRS = [(0.0, 3.0), (1.5, 0.0), (0.0, 0.0), (2.5, 2.5), (1.0, 1.0),
+                (10.0, 100.0), (100.0, 10.0)]
+
+
+def test_weighted_projection_matches_join_then_project(any_mgr):
+    # the one-pass projection and the weight join followed by a unit-weight
+    # projection give the same node, so the same value bit for bit, and signs
+    # on f with the weights choose as signs on the joined product do
+    mgr = any_mgr
+    projections = [mgr.exists_project] + ([] if mgr.log_mode else [mgr.add_project])
+    rng = random.Random(29)
+    for _ in range(25):
+        variables = rng.sample(range(1, 7), rng.randint(2, 4))
+        f = random_nonneg_function(mgr, rng, variables)
+        x = rng.choice(variables)
+        for w_neg, w_pos in WEIGHT_PAIRS:
+            for project in projections:
+                assert project(f, x, w_neg, w_pos) == \
+                    join_then_project(project, f, x, w_neg, w_pos)
+            sign = mgr.derivative_sign(f, x, w_neg, w_pos)
+            joined = mgr.derivative_sign(mgr.join(f, mgr.literal_weight(x, w_neg, w_pos)), x)
+            for a in assignments(set(variables) - {x}):
+                assert sign.choose(a) == joined.choose(a)
+
+
+def test_weighted_projection_builds_only_its_result():
+    # at f's top variable the projection allocates no node outside its
+    # result; joining the weight in first allocates a weighted copy of f
+    rng = random.Random(31)
+    for _ in range(10):
+        grown = {}
+        for path in ("fused", "joined"):
+            mgr = DiagramManager([1, 2, 3, 4, 5, 6])
+            f = random_nonneg_function(mgr, random.Random(rng.random()), [1, 2, 3, 4])
+            before = mgr.node_count()
+            if path == "fused":
+                g = mgr.exists_project(f, 1, 10, 100)
+            else:
+                g = join_then_project(mgr.exists_project, f, 1, 10, 100)
+            grown[path] = mgr.node_count() - before - mgr.size(g)
+        assert grown["fused"] <= 0 < grown["joined"]
+
+
+def test_weighted_projection_zero_weight_over_inf_is_zero():
+    # linear mode: a zero weight times an inf completion is zero, as the join
+    # kernel makes it, never NaN
+    mgr = DiagramManager([1, 2])
+    inf = float("inf")
+    f = mgr.join(mgr.literal_weight(1, inf, 5), mgr.from_clause(disj(1, 2)))
+    for w_neg, w_pos in [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (2.0, 3.0)]:
+        joined = mgr.join(f, mgr.literal_weight(1, w_neg, w_pos))
+        for project in (mgr.exists_project, mgr.add_project):
+            g = project(f, 1, w_neg, w_pos)
+            assert g == project(joined, 1)
+            assert not any(math.isnan(g.evaluate(a)) for a in assignments([2]))
+        sign = mgr.derivative_sign(f, 1, w_neg, w_pos)
+        on_joined = mgr.derivative_sign(joined, 1)
+        for a in assignments([2]):
+            assert sign.choose(a) == on_joined.choose(a)
+    assert mgr.derivative_sign(f, 1, 0.0, 1.0).choose({2: True}) is True
+    assert mgr.derivative_sign(f, 1, 1.0, 0.0).choose({2: True}) is False
+    assert mgr.exists_project(f, 1, 0.0, 1.0) == mgr.constant(5.0)
+
+
+def test_weighted_projection_keeps_the_underflow_guard():
+    mgr = DiagramManager([1])
+    tiny = mgr.constant(1e-300)
+    with pytest.raises(GuardError, match="--mode log10"):
+        mgr.exists_project(tiny, 1, 1e-10, 1e-10)
+    with pytest.raises(GuardError, match="--mode log10"):
+        mgr.add_project(tiny, 1, 1e-10, 0.0)
+    # a unit weight passes a subnormal through exactly, as the join does
+    subnormal = mgr.constant(5e-324)
+    assert mgr.exists_project(subnormal, 1) == subnormal
+    assert mgr.exists_project(subnormal, 1, 1.0, 0.0) == subnormal
+    assert mgr.exists_project(mgr.one(), 1, 5e-324, 0.0) == subnormal
 
 
 # ------------------------------------------------------------ derivative sign

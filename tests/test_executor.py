@@ -314,18 +314,17 @@ def test_solve_computes_width_once(mixed6, unit_weights, mixed6_tree, monkeypatc
 def test_solve_joins_once_per_later_child_and_projected_variable(
         mixed6, unit_weights, mixed6_tree, monkeypatch):
     # each internal node starts from its first child and joins the others,
-    # then joins one weight per projected variable: (0 + 0 + 2 + 1 + 1) + 6
-    calls = 0
-    join = DiagramManager.join
+    # 0 + 0 + 2 + 1 + 1; each of the six variables is projected once, its
+    # weights taken in by the projection, never by a join
+    calls = {"join": 0, "exists_project": 0}
+    for name in calls:
+        def counting(manager, *args, _name=name, _method=getattr(DiagramManager, name)):
+            calls[_name] += 1
+            return _method(manager, *args)
 
-    def counting(manager, f, g):
-        nonlocal calls
-        calls += 1
-        return join(manager, f, g)
-
-    monkeypatch.setattr(DiagramManager, "join", counting)
+        monkeypatch.setattr(DiagramManager, name, counting)
     solve(mixed6, unit_weights, mixed6_tree)
-    assert calls == 10
+    assert calls == {"join": 4, "exists_project": 6}
 
 
 def test_want_dot_keeps_largest_diagram(mixed6, unit_weights, mixed6_tree):
