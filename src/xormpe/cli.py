@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: solve, plan, gen (chain | random), oracle, export-wcnf. Exit
-codes: 0 success, 1 internal invariant failure, 2 usage or I/O error, 3
-resource guard exceeded (for solve, also a linear-mode value that overflows
-or underflows double range).
+codes: 0 success, 1 internal invariant failure, 2 usage, I/O or input error
+(including a file that is not UTF-8), 3 resource guard exceeded (for solve
+and oracle, also a linear-mode value out of double range).
 
 Successful solve and oracle runs print a stable machine grammar: exactly one
 `s MAXIMUM <value>` line and one `v <literals> 0` line; the human format adds
@@ -84,17 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A usage or I/O error; exit 2."""
 
 
 def _read_instance(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror or exc}", 2) from exc
-    return parse_formula(text)
+        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return parse_formula(data)
 
 
 def _fail(message: str, code: int) -> int:
@@ -175,7 +173,7 @@ def cmd_gen(args) -> int:
                     args.n, args.m, args.max_len, args.xor_prob, seed + attempt)
                 default_name = f"rand_n{args.n}_m{args.m}_s{seed + attempt}.xcnf"
         except ValueError as exc:  # arguments out of the generator's range
-            raise _CliError(str(exc), 2) from exc
+            raise _CliError(str(exc)) from exc
         if not args.require_sat or _is_satisfiable(formula, weights):
             path = Path(args.out) if args.out else Path(default_name)
             path.write_text(format_formula(formula, weights), encoding="utf-8")
@@ -195,8 +193,7 @@ def cmd_oracle(args) -> int:
     formula, weights = _read_instance(args.input)
     answer = oracle.brute_solve(formula, weights)
     print(f"c WMC {_fmt(answer.wmc)}")
-    witness = min(answer.maximizers) if formula.var_count else ()
-    _emit_answer(answer.maximum, list(witness))
+    _emit_answer(answer.maximum, list(answer.witness()))
     return 0
 
 
@@ -226,13 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        return _fail(str(exc), exc.code)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
-    except wcnf.ExportError as exc:
-        return _fail(str(exc), 2)
-    except OSError as exc:
+    except (_CliError, ParseError, wcnf.ExportError, OSError) as exc:
         return _fail(str(exc), 2)
     except GuardError as exc:
         return _fail(str(exc), 3)

@@ -133,7 +133,7 @@ class DiagramManager:
         self._zero = self._terminal(_NEG_INF if log_mode else 0.0)
 
         times = operator.add if log_mode else _times
-        self._join = self._kernel("j", times, identity=self._one, annihilator=self._zero)
+        self._join = self._join_kernel(times)
         one, zero = self._value[self._one], self._value[self._zero]
 
         def weigh(a: float, w: float) -> float:
@@ -241,31 +241,30 @@ class DiagramManager:
 
     # ------------------------------------------------------------ combinators
 
-    def _kernel(self, tag, fn, identity=None, annihilator=None):
-        """Pointwise fn of two diagrams, as a recursive function of two nodes."""
-        cache = self._cache
+    def _join_kernel(self, times):
+        """Pointwise product of two diagrams, as a recursive function of two
+        nodes: the unit passes the other operand through, a zero gives zero."""
         level, low, high, value = self._level, self._low, self._high, self._value
         terminal_level = self._terminal_level
-        mk = self._mk
-        terminal = self._terminal
+        cache, mk, terminal = self._cache, self._mk, self._terminal
+        one, zero = self._one, self._zero
 
         def rec(u: int, v: int) -> int:
-            if identity is not None:
-                if u == identity:
-                    return v
-                if v == identity:
-                    return u
-            if annihilator is not None and (u == annihilator or v == annihilator):
-                return annihilator
-            if u > v:  # every fn is commutative, so one cache key serves both orders
+            if u == one:
+                return v
+            if v == one:
+                return u
+            if u == zero or v == zero:
+                return zero
+            if u > v:  # the product commutes, so one cache key serves both orders
                 u, v = v, u
-            key = (tag, u, v)
+            key = ("j", u, v)
             result = cache.get(key)
             if result is not None:
                 return result
             lu, lv = level[u], level[v]
             if lu == terminal_level and lv == terminal_level:
-                result = terminal(fn(value[u], value[v]))
+                result = terminal(times(value[u], value[v]))
             else:
                 top = lu if lu < lv else lv
                 u0 = low[u] if lu == top else u
@@ -391,10 +390,10 @@ class DiagramManager:
     def node_count(self) -> int:
         return len(self._level)
 
-    def to_dot(self, f: Function, name: str = "add") -> str:
+    def to_dot(self, f: Function) -> str:
         """Graphviz text, nodes by ascending id; solid edge = variable assigned
         1, dashed = 0."""
-        lines = [f"digraph {name} {{"]
+        lines = ["digraph add {"]
         for node in sorted(self._reachable(self._root(f))):
             if self.is_terminal(node):
                 lines.append(f'  n{node} [shape=box, label="{self._value[node]:.6g}"];')

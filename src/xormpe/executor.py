@@ -36,6 +36,7 @@ from .planner import ProjectJoinTree
 
 MONOLITHIC_LIMIT = 20
 VERIFY_LIMIT = 16
+_RTOL = 1e-9  # relative tolerance of the checkpoints' comparisons with the enumeration
 
 
 @dataclass
@@ -306,11 +307,10 @@ class _Verifier(Observer):
     set, A the multiset of active functions (by node id). All checks compare
     against the oracle's dense enumeration of the weighted formula."""
 
-    def __init__(self, formula: Formula, weights: WeightFunction, rtol: float = 1e-9):
+    def __init__(self, formula: Formula, weights: WeightFunction):
         super().__init__()
         self.formula = formula
         self.weights = weights
-        self.rtol = rtol
         self.n = formula.var_count
         self.size = 1 << self.n
         indices = np.arange(self.size, dtype=np.int64)
@@ -380,13 +380,10 @@ class _Verifier(Observer):
                 shaped.max(axis=axis, keepdims=True), (2,) * self.n)
         return np.asarray(shaped).reshape(-1)
 
-    def _close(self, a: np.ndarray, b: np.ndarray) -> bool:
-        return np.allclose(a, b, rtol=self.rtol, atol=0.0)
-
     def _check_active(self, checkpoint: str, node: int | None, variable: int | None = None):
         expected = self._reduce_max(self.master, self.eliminated)
         got = self._active_product()
-        if not self._close(got, expected):
+        if not np.allclose(got, expected, rtol=_RTOL, atol=0.0):
             raise _CheckFailed(CheckpointFailure(
                 checkpoint,
                 f"active product deviates from the projected master at node {node}",
@@ -417,7 +414,7 @@ class _Verifier(Observer):
         index = np.arange(self.size)
         hi, lo = index | (1 << (var - 1)), index & ~(1 << (var - 1))
         chosen = np.where(f[hi] >= f[lo], c_before[hi], c_before[lo])
-        if not np.allclose(chosen[maximizers], overall, rtol=self.rtol, atol=0.0):
+        if not np.allclose(chosen[maximizers], overall, rtol=_RTOL, atol=0.0):
             raise _CheckFailed(CheckpointFailure(
                 "maximizer-push",
                 f"sign for variable {var} fails to extend maximizers at node {node}",
@@ -439,7 +436,7 @@ class _Verifier(Observer):
             raise _CheckFailed(CheckpointFailure(
                 "maximizer-const", "not all variables were eliminated"))
         overall = self.master.max() if self.size else self.master
-        if not math.isclose(maximum, float(overall), rel_tol=self.rtol, abs_tol=0.0):
+        if not math.isclose(maximum, float(overall), rel_tol=_RTOL, abs_tol=0.0):
             raise _CheckFailed(CheckpointFailure(
                 "maximizer-const",
                 f"root value {maximum} deviates from enumerated maximum {overall}"))
@@ -452,7 +449,7 @@ class _Verifier(Observer):
         reachable = self.master[mask].max()
         overall = self.master.max()
         if not math.isclose(float(reachable), float(overall),
-                            rel_tol=self.rtol, abs_tol=0.0):
+                            rel_tol=_RTOL, abs_tol=0.0):
             raise _CheckFailed(CheckpointFailure(
                 "maximizer-pop",
                 f"after assigning variable {var}, best completion {reachable} "

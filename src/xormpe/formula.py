@@ -13,6 +13,9 @@ File format (UTF-8, line oriented):
 Exactly one header, before any clause. Weight lines may appear anywhere after
 the header; the last occurrence of a literal wins, and unlisted literals weigh
 1. Weights are nonnegative base-10 decimals; zero is allowed.
+
+The constructors (`Literal`, `Clause`, `WeightFunction`) decide what is valid;
+the parser re-raises a line's `ValueError` as a `ParseError` with its number.
 """
 
 from __future__ import annotations
@@ -80,9 +83,9 @@ class Clause:
 class Formula:
     """An XOR-CNF formula over variables 1..var_count.
 
-    An empty clause list is legal and denotes the constant-true function over
-    the declared variables. Variables declared in the header but absent from
-    every clause still count as formula variables.
+    A formula without clauses is legal and denotes the constant-true function
+    over the declared variables. Variables declared in the header but absent
+    from every clause still count as formula variables.
     """
 
     var_count: int
@@ -159,13 +162,18 @@ Assignment = Mapping[int, bool]
 def parse_formula(source) -> tuple[Formula, WeightFunction]:
     """Parse instance text into a formula and its weight function.
 
-    Accepts a str, bytes, or a file-like object. Raises ParseError with a
-    line number on malformed input.
+    Accepts a str, bytes, or a file-like object. Raises ParseError, with the
+    line number when the fault is on one line, on malformed input.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # a sentinel stands in for the first bad byte; its line is the last
+            line = len((source[:exc.start].decode("utf-8") + "?").splitlines())
+            raise ParseError("not UTF-8 text", line) from exc
 
     var_count: int | None = None
     declared_clauses = 0
@@ -176,22 +184,24 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
-        if tokens[0] == "p":
-            if var_count is not None:
-                raise ParseError("duplicate 'p cnf' header", lineno)
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise ParseError(f"malformed header {raw!r}", lineno)
-            var_count = _parse_int(tokens[2], lineno)
-            declared_clauses = _parse_int(tokens[3], lineno)
-            if var_count < 0 or declared_clauses < 0:
-                raise ParseError("malformed header: negative count", lineno)
-            continue
-        if var_count is None:
-            raise ParseError("clause or weight line before 'p cnf' header", lineno)
-        if tokens[0] == "w":
-            _parse_weight_line(tokens, weights, var_count, lineno)
-            continue
-        clauses.append(_parse_clause_line(tokens, var_count, lineno))
+        try:
+            if tokens[0] == "p":
+                if var_count is not None:
+                    raise ValueError("duplicate 'p cnf' header")
+                if len(tokens) != 4 or tokens[1] != "cnf":
+                    raise ValueError(f"malformed header {raw!r}")
+                var_count = _number(int, tokens[2])
+                declared_clauses = _number(int, tokens[3])
+                if var_count < 0 or declared_clauses < 0:
+                    raise ValueError("malformed header: negative count")
+            elif var_count is None:
+                raise ValueError("clause or weight line before 'p cnf' header")
+            elif tokens[0] == "w":
+                _parse_weight_line(tokens, weights, var_count)
+            else:
+                clauses.append(_parse_clause_line(tokens, var_count))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
 
     if var_count is None:
         raise ParseError("missing 'p cnf' header")
@@ -202,57 +212,36 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
     return Formula(var_count, clauses), weights
 
 
-def _parse_int(token: str, lineno: int) -> int:
+def _number(parse, token: str):
     try:
-        return int(token)
+        return parse(token)
     except ValueError:
-        raise ParseError(f"non-numeric token {token!r}", lineno) from None
+        raise ValueError(f"non-numeric token {token!r}") from None
 
 
-def _parse_weight_line(tokens, weights, var_count, lineno):
-    if len(tokens) < 3:
-        raise ParseError("malformed weight line", lineno)
-    lit = _parse_int(tokens[1], lineno)
-    if lit == 0:
-        raise ParseError("weight line names literal 0", lineno)
+def _literal(token: str, var_count: int) -> int:
+    lit = _number(int, token)
     if abs(lit) > var_count:
-        raise ParseError(f"literal {lit} out of range", lineno)
-    try:
-        value = float(tokens[2])
-    except ValueError:
-        raise ParseError(f"non-numeric token {tokens[2]!r}", lineno) from None
-    if not math.isfinite(value):
-        raise ParseError(f"weight must be finite, got {tokens[2]!r}", lineno)
-    if value < 0:
-        raise ParseError(f"negative weight {tokens[2]}", lineno)
+        raise ValueError(f"literal {lit} out of range")
+    return lit
+
+
+def _parse_weight_line(tokens, weights, var_count):
+    if len(tokens) < 3:
+        raise ValueError("malformed weight line")
+    weights.set_literal(_literal(tokens[1], var_count), _number(float, tokens[2]))
     if tokens[3:] not in ([], ["0"]):
-        raise ParseError("malformed weight line", lineno)
-    weights.set_literal(lit, value)
+        raise ValueError("malformed weight line")
 
 
-def _parse_clause_line(tokens, var_count, lineno) -> Clause:
-    if tokens[0] == "x":
-        kind = ClauseKind.XOR
+def _parse_clause_line(tokens, var_count) -> Clause:
+    kind = ClauseKind.XOR if tokens[0] == "x" else ClauseKind.DISJUNCTION
+    if kind is ClauseKind.XOR:
         tokens = tokens[1:]
-    else:
-        kind = ClauseKind.DISJUNCTION
     if not tokens or tokens[-1] != "0":
-        raise ParseError("clause not terminated by 0", lineno)
-    lits: list[Literal] = []
-    seen: set[int] = set()
-    for token in tokens[:-1]:
-        lit = _parse_int(token, lineno)
-        if lit == 0:
-            raise ParseError("literal 0 inside clause", lineno)
-        if abs(lit) > var_count:
-            raise ParseError(f"literal {lit} out of range", lineno)
-        if abs(lit) in seen:
-            raise ParseError(f"duplicate variable {abs(lit)} in clause", lineno)
-        seen.add(abs(lit))
-        lits.append(Literal.from_int(lit))
-    if not lits:
-        raise ParseError("empty clause", lineno)
-    return Clause(kind, tuple(lits))
+        raise ValueError("clause not terminated by 0")
+    return Clause(kind, tuple([Literal.from_int(_literal(token, var_count))
+                               for token in tokens[:-1]]))
 
 
 def format_formula(formula: Formula, weights: WeightFunction) -> str:

@@ -6,6 +6,8 @@ and evaluated. This is the ground truth the solver is tested against.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,22 +40,49 @@ class OracleResult:
     @property
     def maximizers(self) -> set[tuple[int, ...]]:
         """All maximizing assignments, as sorted tuples of DIMACS literals."""
-        result = set()
-        for index in np.nonzero(self.values == self.maximum)[0]:
-            lits = tuple(
-                (var if (int(index) >> (var - 1)) & 1 else -var)
-                for var in range(1, self.var_count + 1)
-            )
-            result.add(lits)
-        return result
+        return {tuple(var if (int(index) >> (var - 1)) & 1 else -var
+                      for var in range(1, self.var_count + 1))
+                for index in np.nonzero(self.values == self.maximum)[0]}
+
+    def witness(self) -> tuple[int, ...]:
+        """min(maximizers), found without listing them: each variable in turn
+        takes 0 when some maximizer agrees with every choice made so far."""
+        agree = self.values == self.maximum
+        lits = []
+        for var in range(1, self.var_count + 1):
+            # the lowest index bit left is var's: even positions have it 0
+            bit = 0 if agree[0::2].any() else 1
+            agree = agree[bit::2]
+            lits.append(var if bit else -var)
+        return tuple(lits)
+
+
+def _check_range(weights: WeightFunction, n: int) -> None:
+    """Raise GuardError unless every partial weight product the enumeration
+    takes, and their sum, is 0 or normal. Rounding is monotone, so products of
+    each variable's larger weight, and of its smaller nonzero one, bound them."""
+    high = low = 1.0
+    for var in range(1, n + 1):
+        nonzero = [w for w in weights.pair(var) if w]
+        if not nonzero:
+            return  # every product is exactly 0 from here on
+        high *= max(nonzero)
+        low *= min(nonzero)
+        if high == math.inf or low < sys.float_info.min:
+            break
+    if high * 2.0 ** n == math.inf or low < sys.float_info.min:
+        raise GuardError("linear weight products leave double range; "
+                         "the oracle cannot enumerate them")
 
 
 def brute_solve(formula: Formula, weights: WeightFunction) -> OracleResult:
     """Enumerate all assignments; return the maximum, its witnesses, and the
-    weighted model count."""
+    weighted model count. Raises GuardError beyond ORACLE_LIMIT variables and
+    when linear weight products leave double range."""
     n = formula.var_count
     if n > ORACLE_LIMIT:
         raise GuardError(f"oracle limit exceeded: {n} > {ORACLE_LIMIT} variables")
+    _check_range(weights, n)
     size = 1 << n
     indices = np.arange(size, dtype=np.int64)
     bits = [(indices >> (var - 1)) & 1 == 1 for var in range(1, n + 1)]
@@ -65,14 +94,10 @@ def brute_solve(formula: Formula, weights: WeightFunction) -> OracleResult:
 
     satisfied = np.ones(size, dtype=bool)
     for clause in formula.clauses:
-        if clause.kind is ClauseKind.DISJUNCTION:
-            value = np.zeros(size, dtype=bool)
-            for lit in clause.literals:
-                value |= bits[lit.var - 1] == lit.positive
-        else:
-            value = np.zeros(size, dtype=bool)
-            for lit in clause.literals:
-                value ^= bits[lit.var - 1] == lit.positive
+        combine = np.logical_or if clause.kind is ClauseKind.DISJUNCTION else np.logical_xor
+        value = np.zeros(size, dtype=bool)
+        for lit in clause.literals:
+            combine(value, bits[lit.var - 1] == lit.positive, out=value)
         satisfied &= value
 
     values = products * satisfied

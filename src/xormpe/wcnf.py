@@ -52,17 +52,14 @@ class WcnfExport:
 def export_wcnf(formula: Formula, weights: WeightFunction,
                 scale: int = DEFAULT_SCALE) -> WcnfExport:
     n = formula.var_count
+    soft: list[tuple[int, int]] = []
+    zero_units: list[list[int]] = []
     for var in formula.variables:
         w_neg, w_pos = weights.pair(var)
         if w_neg == 0 and w_pos == 0:
             raise ExportError(
                 f"variable {var} weighs zero under both polarities; "
                 "no assignment has positive weight")
-
-    soft: list[tuple[int, int]] = []
-    zero_units: list[list[int]] = []
-    for var in formula.variables:
-        w_neg, w_pos = weights.pair(var)
         for lit, w in ((var, w_pos), (-var, w_neg)):
             if w == 0:
                 zero_units.append([-lit])

@@ -1,7 +1,6 @@
 from collections import ChainMap
-import operator
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -50,7 +49,18 @@ def support(f):
 def add(f, g):
     """Pointwise sum of two functions of one linear-domain manager."""
     mgr = f.manager
-    return Function(mgr, mgr._kernel("a", operator.add, identity=mgr._zero)(f.node, g.node))
+    level, low, high, value = mgr._level, mgr._low, mgr._high, mgr._value
+
+    @cache
+    def rec(u, v):
+        if mgr.is_terminal(u) and mgr.is_terminal(v):
+            return mgr._terminal(value[u] + value[v])
+        top = min(level[u], level[v])
+        u0, u1 = (low[u], high[u]) if level[u] == top else (u, u)
+        v0, v1 = (low[v], high[v]) if level[v] == top else (v, v)
+        return mgr._mk(top, rec(u0, v0), rec(u1, v1))
+
+    return Function(mgr, rec(f.node, g.node))
 
 
 def join_then_project(project, f, var, w_neg, w_pos):

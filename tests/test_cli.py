@@ -290,3 +290,48 @@ def test_solve_and_oracle_agree_randomized(capsys, tmp_path):
         lits = [int(t) for t in v_line.split()[1:-1]]
         assignment = {abs(l): l > 0 for l in lits}
         assert brute_solve(formula, weights).is_maximizer(assignment)
+
+
+@pytest.mark.parametrize("command", ["solve", "plan", "oracle", "export-wcnf"])
+def test_non_utf8_instance_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.xcnf"
+    path.write_bytes("c café\np cnf 1 1\n1 0\n".encode("latin-1"))
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: not UTF-8 text\n"
+
+
+# linear weight products out of double range: inf, a zero maximum that
+# falsifies the clause, and inf times 0 (NaN)
+OUT_OF_RANGE_TEXTS = {
+    "overflow": "p cnf 2 1\n1 2 0\nw 1 1e200\nw 2 1e200\n",
+    "underflow": "p cnf 2 1\n1 2 0\n" + "".join(
+        f"w {lit} 1e-200\n" for lit in (1, -1, 2, -2)),
+    "nan": "p cnf 2 1\n-1 -2 0\nw 1 1e200\nw 2 1e200\n",
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE_TEXTS)
+@pytest.mark.parametrize("argv", [["oracle"], ["solve", "--mode", "log10", "--verify"]],
+                         ids=["oracle", "solve-verify"])
+def test_oracle_refuses_products_out_of_double_range(capsys, tmp_path, name, argv):
+    path = tmp_path / f"{name}.xcnf"
+    path.write_text(OUT_OF_RANGE_TEXTS[name])
+    code, out, err = run(capsys, [*argv, str(path)])
+    assert code == 3
+    assert not any(l.startswith(("s ", "v ")) for l in out.splitlines())
+    assert "double range" in err
+    assert "--mode log10" not in err
+
+
+def test_oracle_lists_no_maximizers(capsys, mixed6_file, monkeypatch):
+    from xormpe.oracle import OracleResult
+
+    def refuse(self):
+        raise AssertionError("the oracle command listed every maximizer")
+
+    monkeypatch.setattr(OracleResult, "maximizers", property(refuse))
+    code, out, _ = run(capsys, ["oracle", mixed6_file])
+    assert code == 0
+    assert "v 1 -2 -3 -4 5 -6 0" in out.splitlines()  # min(maximizers), as before

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from xormpe.benchgen import gen_random
@@ -163,3 +165,59 @@ def test_literal_from_int():
     assert Literal.from_int(-3) == Literal(3, False)
     with pytest.raises(ValueError):
         Literal.from_int(0)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_non_utf8_reports_line_of_first_bad_byte(newline):
+    text = newline.join(["c café", "p cnf 2 1", "1 \udcff2 0", "w 1 \udcfe"]) + newline
+    with pytest.raises(ParseError) as err:
+        parse_formula(text.encode("utf-8", "surrogateescape"))
+    assert err.value.line == 3
+    assert "not UTF-8" in str(err.value)
+
+
+def test_parse_zero_inside_clause_reports_constructor_message():
+    with pytest.raises(ParseError) as err:
+        parse_formula("p cnf 2 1\n1 0 2 0\n")
+    assert err.value.line == 2
+    assert "literal 0 is reserved as the clause terminator" in str(err.value)
+
+
+_CORRUPT_TOKENS = ["0", "-0", "x", "nan", "inf", "1e999"]
+
+
+def _corrupt(lines, rng):
+    """One corruption of one line after the header: a token replaced (by a bad
+    token or the previous literal), a terminator dropped, or a non-UTF-8 byte
+    inserted. Returns the corrupted bytes and that line's number."""
+    i = rng.randrange(1, len(lines))
+    tokens = lines[i].split()
+    j = rng.randrange(len(tokens))
+    kind = rng.randrange(4)
+    if kind == 0:
+        tokens[j] = rng.choice(_CORRUPT_TOKENS)
+    elif kind == 1 and j > 0:
+        tokens[j] = tokens[j - 1]
+    elif kind == 2 and tokens[-1] == "0":
+        tokens.pop()
+    line = " ".join(tokens).encode()
+    if kind == 3:
+        cut = rng.randrange(len(line) + 1)
+        line = line[:cut] + b"\xff" + line[cut:]
+    data = [text.encode() for text in lines]
+    data[i] = line
+    return b"\n".join(data) + b"\n", i + 1
+
+
+def test_corrupted_instances_raise_parse_error_on_their_line():
+    # a corrupted header moves the fault to later lines, so only the lines
+    # after it are corrupted; a wrong clause count is a whole-file fault
+    rng = random.Random(2205)
+    for seed in range(300):
+        n = 1 + seed % 8
+        formula, weights = gen_random(n, 1 + seed % 7, min(n, 3), 0.5, 7000 + seed)
+        data, corrupted = _corrupt(format_formula(formula, weights).splitlines(), rng)
+        try:
+            parse_formula(data)
+        except ParseError as err:
+            assert err.line in (corrupted, None), (data, str(err))

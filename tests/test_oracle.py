@@ -5,8 +5,10 @@ import pytest
 from xormpe.benchgen import gen_random
 from xormpe.diagram import DiagramManager
 from xormpe.errors import GuardError
+from xormpe.executor import verify_checkpoints
 from xormpe.formula import Formula, WeightFunction, evaluate_formula, evaluate_weight
 from xormpe.oracle import brute_solve
+from xormpe.planner import ProjectJoinTree
 
 from conftest import disj, project_all, xor
 
@@ -90,3 +92,48 @@ def test_values_consistent_with_direct_evaluation():
             direct = evaluate_weight(weights, assignment) if \
                 evaluate_formula(formula, assignment) else 0.0
             assert result.values[index] == pytest.approx(direct, rel=1e-12)
+
+
+def test_witness_is_the_least_maximizer():
+    assert brute_solve(Formula(0, []), WeightFunction()).witness() == ()
+    rng = random.Random(41)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        formula, weights = gen_random(n, rng.randint(0, 12), rng.randint(1, n),
+                                      rng.random(), 4100 + trial)
+        result = brute_solve(formula, weights)
+        assert result.witness() == min(result.maximizers)
+
+
+# linear weight products out of double range: an overflowing maximum, an
+# underflowing one (the zero row would be read as a maximizer of an
+# unsatisfied clause), and an overflow times a zero (NaN)
+OUT_OF_RANGE = {
+    "overflow": (Formula(2, [disj(1, 2)]), WeightFunction({1: (1, 1e200), 2: (1, 1e200)})),
+    "underflow": (Formula(2, [disj(1, 2)]),
+                  WeightFunction({1: (1e-200, 1e-200), 2: (1e-200, 1e-200)})),
+    "nan": (Formula(2, [disj(-1, -2)]), WeightFunction({1: (1, 1e200), 2: (1, 1e200)})),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_products_out_of_double_range_raise_guard_error(name):
+    formula, weights = OUT_OF_RANGE[name]
+    with pytest.raises(GuardError, match="double range"):
+        brute_solve(formula, weights)
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal(range(len(formula.clauses)), formula.variables)
+    with pytest.raises(GuardError, match="double range"):
+        verify_checkpoints(formula, weights, tree)
+
+
+@pytest.mark.parametrize("formula, weights, maximum", [
+    (Formula(2, [disj(1, 2)]), WeightFunction({1: (1, 1e150), 2: (1, 1e150)}),
+     1e150 * 1e150),
+    # the smallest nonzero product, 1e-300 at (1, 1), is still normal
+    (Formula(2, [disj(1, 2)]), WeightFunction({1: (1, 1e-150), 2: (1, 1e-150)}), 1e-150),
+    # a variable that weighs 0 both ways zeroes every product before they overflow
+    (Formula(3, []), WeightFunction({1: (0, 0), 2: (1e300, 1e300), 3: (1e300, 1e300)}), 0.0),
+])
+def test_products_in_double_range_are_enumerated(formula, weights, maximum):
+    assert brute_solve(formula, weights).maximum == maximum
