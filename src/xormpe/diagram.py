@@ -19,7 +19,9 @@ variable and walks its two cofactors as a pair below, emitting the max (for
 so no weighted product is built; (x) is `_weigh`, the join kernel's rule for
 two values. `size` and `to_dot` share one reachability walk, `_reachable`.
 
-The variable order is fixed at construction; there is no dynamic reordering.
+A node's level is its variable's index, so every manager orders variables by
+ascending index and takes no order; every terminal is at `_LEAF_LEVEL`, below
+every variable. There is no reordering.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ import operator
 import sys
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import GuardError
 from .formula import Assignment, Clause, ClauseKind
 
 _NEG_INF = float("-inf")
+_LEAF_LEVEL = sys.maxsize  # every terminal's level, deeper than any variable's
 
 
 def _times(x: float, y: float) -> float:
@@ -110,16 +112,10 @@ class DiagramManager:
     operation cache is unbounded and lives as long as the manager.
     """
 
-    def __init__(self, var_order: Sequence[int], log_mode: bool = False):
-        order = [int(v) for v in var_order]
-        if len(set(order)) != len(order) or any(v < 1 for v in order):
-            raise ValueError("variable order must be a permutation of positive indices")
-        self._order = order
-        self._level_of = {v: i for i, v in enumerate(order)}
-        self._terminal_level = len(order)
+    def __init__(self, log_mode: bool = False):
         self.log_mode = log_mode
 
-        # parallel node arrays; terminals have level == _terminal_level
+        # parallel node arrays; an internal node's level is its variable
         self._level: list[int] = []
         self._low: list[int] = []
         self._high: list[int] = []
@@ -147,18 +143,14 @@ class DiagramManager:
 
     # ------------------------------------------------------------------ nodes
 
-    @property
-    def var_order(self) -> list[int]:
-        return list(self._order)
-
     def is_terminal(self, node: int) -> bool:
-        return self._level[node] == self._terminal_level
+        return self._level[node] == _LEAF_LEVEL
 
     def _terminal(self, value: float) -> int:
         node = self._terminals.get(value)
         if node is None:
             node = len(self._level)
-            self._level.append(self._terminal_level)
+            self._level.append(_LEAF_LEVEL)
             self._low.append(-1)
             self._high.append(-1)
             self._value.append(value)
@@ -203,6 +195,8 @@ class DiagramManager:
 
     def _weights(self, var: int, w_neg: float, w_pos: float) -> tuple[float, float]:
         """var's linear-domain weights in the manager's value domain."""
+        if var < 1:
+            raise ValueError(f"variable index {var} is not positive")
         if w_neg < 0 or w_pos < 0:
             raise ValueError(f"negative weight for variable {var}")
         if self.log_mode:
@@ -213,30 +207,23 @@ class DiagramManager:
     def literal_weight(self, var: int, w_neg: float, w_pos: float) -> Function:
         """Single-variable weight function; takes linear-domain weights."""
         w_neg, w_pos = self._weights(var, w_neg, w_pos)
-        level = self._level_of[var]
-        return self._wrap(self._mk(level, self._terminal(w_neg), self._terminal(w_pos)))
+        return self._wrap(self._mk(var, self._terminal(w_neg), self._terminal(w_pos)))
 
     def from_clause(self, clause: Clause) -> Function:
         """0/1 indicator of the clause (also in log10 mode: -inf/0)."""
         true_t, false_t = self._one, self._zero
-        by_depth = sorted(clause.literals, key=lambda lit: self._level_of[lit.var])
+        deepest_first = sorted(clause.literals, key=lambda lit: lit.var, reverse=True)
         if clause.kind is ClauseKind.DISJUNCTION:
             node = false_t
-            for lit in reversed(by_depth):
-                level = self._level_of[lit.var]
-                if lit.positive:
-                    node = self._mk(level, node, true_t)
-                else:
-                    node = self._mk(level, true_t, node)
+            for lit in deepest_first:
+                low, high = (node, true_t) if lit.positive else (true_t, node)
+                node = self._mk(lit.var, low, high)
             return self._wrap(node)
-        # xor: track both parities of the suffix, deepest literal first
+        # xor: track both parities of the suffix; a negative literal swaps them
         even, odd = false_t, true_t
-        for lit in reversed(by_depth):
-            level = self._level_of[lit.var]
-            if lit.positive:
-                even, odd = self._mk(level, even, odd), self._mk(level, odd, even)
-            else:
-                even, odd = self._mk(level, odd, even), self._mk(level, even, odd)
+        for lit in deepest_first:
+            low, high = (even, odd) if lit.positive else (odd, even)
+            even, odd = self._mk(lit.var, low, high), self._mk(lit.var, high, low)
         return self._wrap(even)
 
     # ------------------------------------------------------------ combinators
@@ -245,7 +232,6 @@ class DiagramManager:
         """Pointwise product of two diagrams, as a recursive function of two
         nodes: the unit passes the other operand through, a zero gives zero."""
         level, low, high, value = self._level, self._low, self._high, self._value
-        terminal_level = self._terminal_level
         cache, mk, terminal = self._cache, self._mk, self._terminal
         one, zero = self._one, self._zero
 
@@ -263,7 +249,7 @@ class DiagramManager:
             if result is not None:
                 return result
             lu, lv = level[u], level[v]
-            if lu == terminal_level and lv == terminal_level:
+            if lu == _LEAF_LEVEL and lv == _LEAF_LEVEL:
                 result = terminal(times(value[u], value[v]))
             else:
                 top = lu if lu < lv else lv
@@ -286,10 +272,8 @@ class DiagramManager:
                    tag: str, combine) -> Function:
         """combine(w_neg (x) f|var=0, w_pos (x) f|var=1) pointwise in one pass
         over f, which never builds a weighted copy of either cofactor."""
-        xlev = self._level_of[var]
         w0, w1 = self._weights(var, w_neg, w_pos)
         level, low, high, value = self._level, self._low, self._high, self._value
-        terminal_level = self._terminal_level
         cache, mk, terminal, weigh = self._cache, self._mk, self._terminal, self._weigh
         keep = combine is max and w0 == w1 == value[self._one]  # then max(a, a) is a
         above = tag.upper()
@@ -302,7 +286,7 @@ class DiagramManager:
             if result is not None:
                 return result
             la, lb = level[a], level[b]
-            if la == terminal_level and lb == terminal_level:
+            if la == _LEAF_LEVEL and lb == _LEAF_LEVEL:
                 result = terminal(combine(weigh(value[a], w0), weigh(value[b], w1)))
             else:
                 top = la if la < lb else lb
@@ -316,11 +300,11 @@ class DiagramManager:
 
         def rec(node: int) -> int:
             l = level[node]
-            if l > xlev:  # var is absent below here: both cofactors are node
+            if l > var:  # var is absent below here: both cofactors are node
                 return pair(node, node)
-            if l == xlev:
+            if l == var:
                 return pair(low[node], high[node])
-            key = (above, node, xlev, w0, w1)
+            key = (above, node, var, w0, w1)
             result = cache.get(key)
             if result is None:
                 result = mk(l, rec(low[node]), rec(high[node]))
@@ -332,7 +316,8 @@ class DiagramManager:
     def exists_project(self, f: Function, var: int,
                        w_neg: float = 1.0, w_pos: float = 1.0) -> Function:
         """Pointwise max of the two cofactors, each times var's linear-domain
-        weight for that polarity; removes var from the support."""
+        weight for that polarity; removes var from the support. A var that f
+        does not depend on, whatever its index, gives max(w_neg, w_pos) (x) f."""
         return self._eliminate(f, var, w_neg, w_pos, "m", max)
 
     def add_project(self, f: Function, var: int,
@@ -356,10 +341,8 @@ class DiagramManager:
         """Follow one root-to-terminal path; every support variable must be bound."""
         node = self._root(f)
         level, low, high = self._level, self._low, self._high
-        order = self._order
-        terminal_level = self._terminal_level
-        while level[node] != terminal_level:
-            var = order[level[node]]
+        while level[node] != _LEAF_LEVEL:
+            var = level[node]
             try:
                 bound = assignment[var]
             except KeyError:
@@ -370,12 +353,11 @@ class DiagramManager:
     def _reachable(self, root: int) -> set[int]:
         """Every node (terminals included) reachable from root."""
         level, low, high = self._level, self._low, self._high
-        terminal_level = self._terminal_level
         seen = {root}
         stack = [root]
         while stack:
             node = stack.pop()
-            if level[node] == terminal_level:
+            if level[node] == _LEAF_LEVEL:
                 continue
             for child in (low[node], high[node]):
                 if child not in seen:
@@ -398,8 +380,7 @@ class DiagramManager:
             if self.is_terminal(node):
                 lines.append(f'  n{node} [shape=box, label="{self._value[node]:.6g}"];')
                 continue
-            var = self._order[self._level[node]]
-            lines.append(f'  n{node} [shape=oval, label="x{var}"];')
+            lines.append(f'  n{node} [shape=oval, label="x{self._level[node]}"];')
             lines.append(f"  n{node} -> n{self._high[node]} [style=solid];")
             lines.append(f"  n{node} -> n{self._low[node]} [style=dashed];")
         lines.append("}")

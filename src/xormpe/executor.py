@@ -134,23 +134,21 @@ def valuate(
     formula: Formula,
     tree: ProjectJoinTree,
     weights: WeightFunction,
-    node: int | None = None,
     stack: list[DerivativeSign] | None = None,
     project: Callable[[Function, int, float, float], Function] | None = None,
     observer: Observer | None = None,
 ) -> Function:
-    """Valuation of one tree node (the root by default), children before
-    parents in one pass over its subtree. Derivative signs are pushed onto
-    `stack`, one per projected variable, before each projection. `project`
-    eliminates one variable under its linear-domain weights:
-    `manager.exists_project` by default, `manager.add_project` to count.
-    `observer` receives every step."""
+    """Valuation of the tree's root, children before parents in one pass
+    over the tree. Derivative signs are pushed onto `stack`, one per
+    projected variable, before each projection. `project` eliminates one
+    variable under its linear-domain weights: `manager.exists_project` by
+    default, `manager.add_project` to count. `observer` receives every step."""
     if project is None:
         project = manager.exists_project
     if observer:
         observer.setup(manager)
     values: dict[int, Function] = {}
-    for node_id in tree.post_order(node):
+    for node_id in tree.post_order():
         if observer:
             observer.enter(node_id)
         pjt_node = tree.nodes[node_id]
@@ -204,7 +202,7 @@ def solve(
     raises GuardError. `observer` receives every step.
     """
     started = time.perf_counter()
-    manager = _manager(formula, mode)
+    manager = _manager(mode)
     if observer is None:
         observer = Observer()
     stack: list[DerivativeSign] = []
@@ -243,16 +241,16 @@ def count(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree) -> f
     """Weighted model count via the same tree, with additive projection in
     place of existential. Linear domain only; a count out of double range
     raises GuardError."""
-    manager = _manager(formula, "linear")
+    manager = _manager("linear")
     return _root_value(valuate(manager, formula, tree, weights,
                                project=manager.add_project))
 
 
-def _manager(formula: Formula, mode: str) -> DiagramManager:
-    """A manager over the formula's variables in the value domain of mode."""
+def _manager(mode: str) -> DiagramManager:
+    """A manager in the value domain of mode."""
     if mode not in ("linear", "log10"):
         raise ValueError(f"unknown mode {mode!r}")
-    return DiagramManager(list(formula.variables), log_mode=(mode == "log10"))
+    return DiagramManager(log_mode=(mode == "log10"))
 
 
 def _root_value(root: Function) -> float:
@@ -357,8 +355,7 @@ class _Verifier(Observer):
         if manager.is_terminal(node):
             grid = np.full(self.size, manager._value[node], dtype=np.float64)
         else:
-            var = manager._order[manager._level[node]]
-            grid = np.where(self.bits[var],
+            grid = np.where(self.bits[manager._level[node]],
                             self._grid(manager._high[node]),
                             self._grid(manager._low[node]))
         self._grids[node] = grid

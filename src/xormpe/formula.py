@@ -1,6 +1,6 @@
 """XOR-CNF formulas with per-literal weights, and their text format.
 
-File format (UTF-8, line oriented):
+File format (UTF-8, line oriented; a line ends at LF, CR LF or a lone CR):
 
     c <comment>                 ignored
     p cnf <var_count> <clause_count>
@@ -163,16 +163,21 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
     """Parse instance text into a formula and its weight function.
 
     Accepts a str, bytes, or a file-like object. Raises ParseError, with the
-    line number when the fault is on one line, on malformed input.
+    line number when the fault is on one line, on malformed input. Undecodable
+    text gets a line number from bytes or a binary handle, not a text handle.
     """
     if hasattr(source, "read"):
-        source = source.read()
+        try:
+            source = source.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not {exc.encoding} text") from exc
     if isinstance(source, (bytes, bytearray)):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             # a sentinel stands in for the first bad byte; its line is the last
-            line = len((source[:exc.start].decode("utf-8") + "?").splitlines())
+            # (bytes.splitlines, unlike str's, breaks at LF, CR LF and CR only)
+            line = len((source[:exc.start] + b"?").splitlines())
             raise ParseError("not UTF-8 text", line) from exc
 
     var_count: int | None = None
@@ -180,7 +185,9 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
     clauses: list[Clause] = []
     weights = WeightFunction()
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    # str.splitlines would also break at form feeds, U+0085, U+2028 and others
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue

@@ -70,15 +70,13 @@ class ProjectJoinTree:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def post_order(self, start: int | None = None) -> list[int]:
-        """Ids of the subtree under `start` (the root by default), children
+    def post_order(self) -> list[int]:
+        """Ids of the nodes under the root, the root included, children
         before parents, children left to right."""
-        if start is None:
-            start = self.root
-        if start is None:
+        if self.root is None:
             raise ValueError("tree has no root")
         result: list[int] = []
-        stack: list[tuple[int, bool]] = [(start, False)]
+        stack: list[tuple[int, bool]] = [(self.root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:

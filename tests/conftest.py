@@ -32,9 +32,8 @@ def xor(*lits: int) -> Clause:
 
 def project_all(project, f, variables):
     """Eliminate each of variables from f with project (a manager's
-    exists_project or add_project), the deepest variable in the order first."""
-    order = f.manager.var_order
-    for var in sorted(variables, key=order.index, reverse=True):
+    exists_project or add_project), the deepest variable (highest index) first."""
+    for var in sorted(variables, reverse=True):
         f = project(f, var)
     return f
 
@@ -42,7 +41,7 @@ def project_all(project, f, variables):
 def support(f):
     """Variables appearing on some root-to-terminal path of f."""
     mgr = f.manager
-    return {mgr._order[mgr._level[node]] for node in mgr._reachable(f.node)
+    return {mgr._level[node] for node in mgr._reachable(f.node)
             if not mgr.is_terminal(node)}
 
 
@@ -168,10 +167,10 @@ class FaultyManager(DiagramManager):
 
     KINDS = ("skip_weight_join", "push_after_project", "tie_break_low")
 
-    def __init__(self, var_order, log_mode=False, *, fault):
+    def __init__(self, log_mode=False, *, fault):
         if fault not in self.KINDS:
             raise ValueError(f"unknown fault {fault!r}")
-        super().__init__(var_order, log_mode)
+        super().__init__(log_mode)
         self.fault = fault
         self._skip_armed = fault == "skip_weight_join"
 

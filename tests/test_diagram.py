@@ -28,7 +28,7 @@ def pointwise_equal(f, g, variables):
 
 @pytest.fixture
 def mgr():
-    return DiagramManager([1, 2, 3, 4, 5, 6])
+    return DiagramManager()
 
 
 # dyadic weights keep every product and sum exactly representable, so
@@ -53,7 +53,7 @@ def random_nonneg_function(mgr, rng, variables):
 
 @pytest.fixture(params=[False, True], ids=["linear", "log10"])
 def any_mgr(request):
-    return DiagramManager([1, 2, 3, 4, 5, 6], log_mode=request.param)
+    return DiagramManager(log_mode=request.param)
 
 
 # ----------------------------------------------------------------- terminals
@@ -113,6 +113,16 @@ def test_from_clause_matches_evaluate_clause_randomized(mgr):
             assert f.evaluate(a) == float(evaluate_clause(clause, a))
 
 
+def test_levels_are_variable_indices():
+    # a manager takes no order: any positive index is a level, gaps included
+    mgr = DiagramManager()
+    for clause, labels in ((xor(3, 7), {"x3", "x7"}), (disj(-2, 9), {"x2", "x9"})):
+        f = mgr.from_clause(clause)
+        for a in assignments(clause.variables):
+            assert f.evaluate(a) == float(evaluate_clause(clause, a))
+        assert set(re.findall(r'label="(x\d+)"', mgr.to_dot(f))) == labels
+
+
 # ----------------------------------------------------------------------- join
 
 def test_join_examples(mgr):
@@ -131,7 +141,7 @@ def test_join_support_union(mgr):
 
 
 def test_join_requires_same_manager(mgr):
-    other = DiagramManager([1, 2])
+    other = DiagramManager()
     with pytest.raises(ValueError):
         mgr.join(mgr.constant(1), other.constant(1))
 
@@ -221,6 +231,26 @@ def test_add_project_counts_absent_variables(mgr):
     assert mgr.add_project(mgr.constant(3), 2) == mgr.constant(6)
 
 
+def test_projecting_an_absent_variable_scales_by_its_weights(any_mgr):
+    # below, between and above f's variables alike
+    mgr = any_mgr
+    f = random_nonneg_function(mgr, random.Random(5), [2, 4])
+    w_neg, w_pos = 0.5, 3.0
+    scale = {"m": max(w_neg, w_pos), "a": w_neg + w_pos}
+    projections = {"m": mgr.exists_project}
+    if not mgr.log_mode:
+        projections["a"] = mgr.add_project
+    for tag, project in projections.items():
+        for var in (1, 3, 9):
+            g = project(f, var, w_neg, w_pos)
+            for a in assignments([2, 4]):
+                if mgr.log_mode:
+                    expected = f.evaluate(a) + math.log10(scale[tag])
+                else:
+                    expected = f.evaluate(a) * scale[tag]
+                assert g.evaluate(a) == expected
+
+
 def test_projections_commute(mgr):
     rng = random.Random(11)
     for _ in range(15):
@@ -278,7 +308,7 @@ def test_weighted_projection_builds_only_its_result():
     for _ in range(10):
         grown = {}
         for path in ("fused", "joined"):
-            mgr = DiagramManager([1, 2, 3, 4, 5, 6])
+            mgr = DiagramManager()
             f = random_nonneg_function(mgr, random.Random(rng.random()), [1, 2, 3, 4])
             before = mgr.node_count()
             if path == "fused":
@@ -292,7 +322,7 @@ def test_weighted_projection_builds_only_its_result():
 def test_weighted_projection_zero_weight_over_inf_is_zero():
     # linear mode: a zero weight times an inf completion is zero, as the join
     # kernel makes it, never NaN
-    mgr = DiagramManager([1, 2])
+    mgr = DiagramManager()
     inf = float("inf")
     f = mgr.join(mgr.literal_weight(1, inf, 5), mgr.from_clause(disj(1, 2)))
     for w_neg, w_pos in [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (2.0, 3.0)]:
@@ -311,7 +341,7 @@ def test_weighted_projection_zero_weight_over_inf_is_zero():
 
 
 def test_weighted_projection_keeps_the_underflow_guard():
-    mgr = DiagramManager([1])
+    mgr = DiagramManager()
     tiny = mgr.constant(1e-300)
     with pytest.raises(GuardError, match="--mode log10"):
         mgr.exists_project(tiny, 1, 1e-10, 1e-10)
@@ -345,7 +375,7 @@ def test_derivative_sign_conditional(mgr):
 def test_derivative_sign_tie_prefers_high(mgr):
     flat = mgr.literal_weight(1, 5, 5)  # reduces to a constant: everything ties
     assert mgr.derivative_sign(flat, 1).choose({}) is True
-    strict = FaultyManager(mgr.var_order, fault="tie_break_low")
+    strict = FaultyManager(fault="tie_break_low")
     assert strict.derivative_sign(strict.literal_weight(1, 5, 5), 1).choose({}) is False
 
 
@@ -419,7 +449,7 @@ def test_size_counts_distinct_nodes(mgr):
 
 def test_size_support_and_dot_agree():
     def build(seed):
-        mgr = DiagramManager([1, 2, 3, 4, 5, 6])
+        mgr = DiagramManager()
         rng = random.Random(seed)
         return mgr, random_nonneg_function(mgr, rng, rng.sample(range(1, 7), rng.randint(1, 4)))
 
@@ -436,7 +466,7 @@ def test_size_support_and_dot_agree():
 # ------------------------------------------------------------------- log mode
 
 def test_log_mode_semantics():
-    mgr = DiagramManager([1, 2], log_mode=True)
+    mgr = DiagramManager(log_mode=True)
     w = mgr.literal_weight(1, 10, 100)
     assert w.evaluate({1: False}) == pytest.approx(1.0)
     assert w.evaluate({1: True}) == pytest.approx(2.0)
@@ -459,8 +489,15 @@ def test_to_dot(mgr):
     assert 'label="x1"' in text
 
 
-def test_manager_rejects_bad_order():
-    with pytest.raises(ValueError):
-        DiagramManager([1, 1, 2])
-    with pytest.raises(ValueError):
-        DiagramManager([0, 1])
+@pytest.mark.parametrize("var", [0, -1])
+def test_nonpositive_variable_index_is_rejected(var):
+    mgr = DiagramManager()
+    f = mgr.from_clause(disj(1, 2))
+    with pytest.raises(ValueError, match="not positive"):
+        mgr.literal_weight(var, 1.0, 2.0)
+    with pytest.raises(ValueError, match="not positive"):
+        mgr.exists_project(f, var)
+    with pytest.raises(ValueError, match="not positive"):
+        mgr.add_project(f, var)
+    with pytest.raises(ValueError, match="not positive"):
+        mgr.derivative_sign(f, var)

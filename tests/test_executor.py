@@ -115,24 +115,8 @@ def test_solve_rejects_unknown_mode(mixed6, unit_weights, mixed6_tree):
 
 # -------------------------------------------------------------------- valuate
 
-def test_valuate_leaf_pushes_nothing(mixed6, unit_weights, mixed6_tree):
-    mgr = DiagramManager(list(mixed6.variables))
-    stack = []
-    f = valuate(mgr, mixed6, mixed6_tree, unit_weights, node=2, stack=stack)
-    assert f == mgr.from_clause(mixed6.clauses[2])
-    assert stack == []
-
-
-def test_valuate_x3_x5_subtree(mixed6, unit_weights, mixed6_tree):
-    mgr = DiagramManager(list(mixed6.variables))
-    stack = []
-    f = valuate(mgr, mixed6, mixed6_tree, unit_weights, node=8, stack=stack)
-    assert f == mgr.constant(1)
-    assert [sign.var for sign in stack] == [3, 5]
-
-
 def test_valuate_root(mixed6, unit_weights, mixed6_tree):
-    mgr = DiagramManager(list(mixed6.variables))
+    mgr = DiagramManager()
     stack = []
     f = valuate(mgr, mixed6, mixed6_tree, unit_weights, stack=stack)
     assert f == mgr.constant(1)
@@ -141,7 +125,7 @@ def test_valuate_root(mixed6, unit_weights, mixed6_tree):
 
 
 def test_sign_stack_order_follows_traversal(mixed6, unit_weights, mixed6_tree):
-    mgr = DiagramManager(list(mixed6.variables))
+    mgr = DiagramManager()
     stack = []
     valuate(mgr, mixed6, mixed6_tree, unit_weights, stack=stack)
     assert [sign.var for sign in stack] == [2, 4, 6, 1, 3, 5]
@@ -464,15 +448,17 @@ def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
 
 
 def test_subtree_valuation_sizes_recursion_from_its_own_nodes():
-    # a sibling subtree over more variables than the current limit allows
-    # must not raise the limit for a valuation that never enters it
+    # a node over more variables than the current limit allows, outside the
+    # root's subtree, must not raise the limit for a valuation that never
+    # enters it, although it sets the tree's width
     wide = sys.getrecursionlimit()
     formula = Formula(wide + 2, [disj(1, 2), disj(*range(3, wide + 3))])
     tree = ProjectJoinTree(formula)
-    narrow = tree.add_internal([0], [1, 2])
-    tree.root = tree.add_internal([narrow, tree.add_internal([1], range(3, wide + 3))], [])
-    manager = DiagramManager(list(formula.variables))
-    f = valuate(manager, formula, tree, WeightFunction(), node=narrow)
+    tree.add_internal([1], range(3, wide + 3))
+    tree.root = tree.add_internal([0], [1, 2])
+    assert tree.width() == wide
+    manager = DiagramManager()
+    f = valuate(manager, formula, tree, WeightFunction())
     assert f == manager.constant(1)
     assert sys.getrecursionlimit() == wide
 

@@ -167,13 +167,48 @@ def test_literal_from_int():
         Literal.from_int(0)
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_parse_non_utf8_reports_line_of_first_bad_byte(newline):
     text = newline.join(["c café", "p cnf 2 1", "1 \udcff2 0", "w 1 \udcfe"]) + newline
     with pytest.raises(ParseError) as err:
         parse_formula(text.encode("utf-8", "surrogateescape"))
     assert err.value.line == 3
     assert "not UTF-8" in str(err.value)
+
+
+def test_parse_non_utf8_counts_lines_at_newlines_only():
+    text = "c a\u2028b\np cnf 1 0\nc \udcff\n"
+    with pytest.raises(ParseError) as err:
+        parse_formula(text.encode("utf-8", "surrogateescape"))
+    assert err.value.line == 3
+
+
+def test_parse_non_utf8_text_handle_is_parse_error(tmp_path):
+    # the handle decodes inside read(), which knows no line number
+    path = tmp_path / "latin1.xcnf"
+    path.write_bytes(b"c caf\xe9\np cnf 1 0\n")
+    with path.open(encoding="utf-8") as handle, pytest.raises(ParseError) as err:
+        parse_formula(handle)
+    assert err.value.line is None
+    assert "not utf-8 text" in str(err.value)
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_parse_breaks_lines_only_at_newlines(char):
+    # str.splitlines breaks at each of these, which would cut the comment
+    formula, _ = parse_formula(f"p cnf 2 1\nc note{char}more\n1 2 0\n")
+    assert formula.clauses == [disj(1, 2)]
+
+
+def test_parse_form_feed_between_literals_is_whitespace():
+    formula, _ = parse_formula("p cnf 2 1\n1 \x0c2 0\n")
+    assert formula.clauses == [disj(1, 2)]
+
+
+def test_parse_carriage_return_only_file():
+    text = "p cnf 2 1\n1 -2 0\nw 1 2\n"
+    assert parse_formula(text.replace("\n", "\r")) == parse_formula(text)
 
 
 def test_parse_zero_inside_clause_reports_constructor_message():

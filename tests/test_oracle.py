@@ -70,7 +70,7 @@ def test_matches_monolithic_projection():
         formula, weights = gen_random(n, rng.randint(0, 10), rng.randint(1, n),
                                       rng.random(), 500 + trial)
         result = brute_solve(formula, weights)
-        mgr = DiagramManager(list(formula.variables))
+        mgr = DiagramManager()
         f = mgr.one()
         for clause in formula.clauses:
             f = mgr.join(f, mgr.from_clause(clause))
