@@ -16,7 +16,6 @@ from .executor import (
     SolveStats,
     count,
     solve,
-    solve_monolithic,
     valuate,
     verify_checkpoints,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "parse_formula",
     "plan",
     "solve",
-    "solve_monolithic",
     "validate",
     "valuate",
     "verify_checkpoints",

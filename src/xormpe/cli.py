@@ -109,6 +109,29 @@ def _emit_answer(maximum: float, literals: list[int]) -> None:
     print(" ".join(["v", *map(str, literals), "0"]))
 
 
+class _LargestDiagram(executor.Observer):
+    """Keeps the first largest diagram of a solve, for --dot: every leaf,
+    join and projection reaches `exit`, `child_joined` or `projected`, and
+    the root always reaches `exit`, so a diagram is always kept."""
+
+    largest = None
+    _size = 0
+
+    def _keep(self, f) -> None:
+        size = self.manager.size(f)
+        if size > self._size:
+            self._size, self.largest = size, f
+
+    def child_joined(self, node, h, previous, joined) -> None:
+        self._keep(joined)
+
+    def projected(self, node, var, previous, result) -> None:
+        self._keep(result)
+
+    def exit(self, node, f) -> None:
+        self._keep(f)
+
+
 def cmd_solve(args) -> int:
     formula, weights = _read_instance(args.input)
     heuristic = planner.Heuristic(args.plan_heuristic)
@@ -122,13 +145,12 @@ def cmd_solve(args) -> int:
         if failure is not None:
             return _fail(f"checkpoint {failure.checkpoint} failed: {failure.message}", 1)
 
-    observer = executor.Observer()
+    observer = _LargestDiagram() if args.dot else None
     result = executor.solve(formula, weights, tree, mode=args.mode, observer=observer)
 
     if args.dot:
-        largest = observer.largest
-        dot = largest.manager.to_dot(largest) if largest is not None else "digraph add {\n}\n"
-        Path(args.dot).write_text(dot, encoding="utf-8")
+        Path(args.dot).write_text(observer.manager.to_dot(observer.largest),
+                                  encoding="utf-8")
 
     if args.format == "human":
         print(f"c width {result.stats.width}")

@@ -34,13 +34,16 @@ from .formula import Assignment, Formula, WeightFunction
 from .oracle import brute_solve
 from .planner import ProjectJoinTree
 
-MONOLITHIC_LIMIT = 20
 VERIFY_LIMIT = 16
 _RTOL = 1e-9  # relative tolerance of the checkpoints' comparisons with the enumeration
 
 
 @dataclass
 class SolveStats:
+    """`width` is the tree's. `peak_nodes` is the number of diagram nodes the
+    solve allocated, terminals included; the manager frees no node during a
+    solve, so that final count is also its peak."""
+
     width: int = 0
     peak_nodes: int = 0
     exec_seconds: float = 0.0
@@ -61,30 +64,14 @@ class SolveResult:
 class Observer:
     """Hook into a valuation: the executor calls these methods in execution
     order. Pass an instance as `observer=` to `solve` or `valuate`, one
-    instance per solve.
+    instance per solve. Every event is a no-op here, and the base class keeps
+    nothing but the manager; subclasses override the events they need."""
 
-    The base class tracks, in `built`, the largest intermediate diagram as
-    `largest` and its size as `peak`, which `solve` reports as
-    `SolveStats.peak_nodes`; every other event is a no-op. Subclasses
-    override the events they need; one that overrides `built` calls
-    `super().built` to keep the statistics.
-    """
-
-    def __init__(self) -> None:
-        self.manager: DiagramManager | None = None
-        self.peak = 0
-        self.largest: Function | None = None
+    manager: DiagramManager  # from setup on
 
     def setup(self, manager: DiagramManager) -> None:
         """Before the first node, with the manager the valuation uses."""
         self.manager = manager
-
-    def built(self, node: int, f: Function) -> None:
-        """Every intermediate diagram: a leaf, a child join, a projection."""
-        size = self.manager.size(f)
-        if size > self.peak:
-            self.peak = size
-            self.largest = f
 
     def enter(self, node: int) -> None:
         """Before a node is valuated; its children already are."""
@@ -145,17 +132,15 @@ def valuate(
     default, `manager.add_project` to count. `observer` receives every step."""
     if project is None:
         project = manager.exists_project
-    if observer:
-        observer.setup(manager)
+    if observer is None:
+        observer = Observer()
+    observer.setup(manager)
     values: dict[int, Function] = {}
     for node_id in tree.post_order():
-        if observer:
-            observer.enter(node_id)
+        observer.enter(node_id)
         pjt_node = tree.nodes[node_id]
         if pjt_node.is_leaf:
             f = manager.from_clause(formula.clauses[pjt_node.clause_index])
-            if observer:
-                observer.built(node_id, f)
         else:
             # every function met here depends only on vars and pi, which are disjoint
             _allow_recursion(len(pjt_node.vars) + len(pjt_node.pi))
@@ -164,25 +149,18 @@ def valuate(
             for child in pjt_node.children[1:]:
                 h = values.pop(child)
                 previous, f = f, manager.join(f, h)
-                if observer:
-                    observer.built(node_id, f)
-                    observer.child_joined(node_id, h, previous, f)
-            if observer:
-                observer.joins_done(node_id, f)
+                observer.child_joined(node_id, h, previous, f)
+            observer.joins_done(node_id, f)
             for x in sorted(pjt_node.pi):
                 w_neg, w_pos = weights.pair(x)
                 if stack is not None:
                     # the sign covers every remaining factor depending on x: f and x's weights
                     sign = manager.derivative_sign(f, x, w_neg, w_pos)
                     stack.append(sign)
-                    if observer:
-                        observer.sign_pushed(node_id, x, sign)
+                    observer.sign_pushed(node_id, x, sign)
                 previous, f = f, project(f, x, w_neg, w_pos)
-                if observer:
-                    observer.built(node_id, f)
-                    observer.projected(node_id, x, previous, f)
-        if observer:
-            observer.exit(node_id, f)
+                observer.projected(node_id, x, previous, f)
+        observer.exit(node_id, f)
         values[node_id] = f
     return f
 
@@ -231,7 +209,7 @@ def solve(
     no_model = root == manager.zero()
     stats = SolveStats(
         width=tree.width(),
-        peak_nodes=observer.peak,
+        peak_nodes=manager.node_count(),
         exec_seconds=time.perf_counter() - started,
     )
     return SolveResult(maximum, maximizer, no_model, mode, stats)
@@ -264,23 +242,6 @@ def _root_value(root: Function) -> float:
             f"linear-mode value {value} is out of double range; "
             "use --mode log10, which keeps weight products finite")
     return value
-
-
-def solve_monolithic(
-    formula: Formula,
-    weights: WeightFunction,
-    mode: str = "linear",
-) -> SolveResult:
-    """Reference path: `solve` on the one-node plan, whose root joins every
-    clause and then projects every variable, so nothing is projected early.
-    `SolveStats.peak_nodes` is the largest leaf, child join or projection, as
-    for any plan."""
-    n = formula.var_count
-    if n > MONOLITHIC_LIMIT:
-        raise GuardError(f"monolithic limit exceeded: {n} > {MONOLITHIC_LIMIT} variables")
-    tree = ProjectJoinTree(formula)
-    tree.root = tree.add_internal(range(len(formula.clauses)), formula.variables)
-    return solve(formula, weights, tree, mode)
 
 
 # --------------------------------------------------------------- verification

@@ -69,6 +69,14 @@ def join_then_project(project, f, var, w_neg, w_pos):
     return project(mgr.join(f, mgr.literal_weight(var, w_neg, w_pos)), var)
 
 
+def solve_monolithic(formula, weights, mode="linear"):
+    """Reference path: `solve` on the one-node plan, whose root joins every
+    clause and then projects every variable, so nothing is projected early."""
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal(range(len(formula.clauses)), formula.variables)
+    return executor.solve(formula, weights, tree, mode)
+
+
 def reference_order(formula, heuristic):
     """The elimination order heuristic_order must match, computed the plain
     way: rescan every remaining vertex at every step, min-fill counting the

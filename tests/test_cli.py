@@ -8,7 +8,10 @@ import pytest
 import xormpe
 from xormpe.benchgen import ChainSpec, gen_chain
 from xormpe.cli import main
+from xormpe.diagram import DiagramManager
+from xormpe.executor import Observer, count, solve, verify_checkpoints
 from xormpe.formula import format_formula, parse_formula
+from xormpe.planner import Heuristic, heuristic_order, plan
 
 from conftest import MIXED6_TEXT
 
@@ -119,11 +122,58 @@ def test_solve_verify_respects_limit(capsys, tmp_path):
     assert "verification limit" in err
 
 
+class _Sizes(Observer):
+    """The size of every diagram seen at exit, child_joined and projected."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def exit(self, node, f):
+        self.sizes.append(self.manager.size(f))
+
+    def child_joined(self, node, h, previous, joined):
+        self.sizes.append(self.manager.size(joined))
+
+    def projected(self, node, var, previous, result):
+        self.sizes.append(self.manager.size(result))
+
+
 def test_solve_dot_export(capsys, tmp_path, mixed6_file):
+    # --dot renders the largest diagram a leaf, join or projection builds
     dot_path = tmp_path / "diagram.dot"
     code, _, _ = run(capsys, ["solve", mixed6_file, "--dot", str(dot_path)])
     assert code == 0
-    assert dot_path.read_text().startswith("digraph")
+    dot = dot_path.read_text()
+    assert dot.startswith("digraph")
+    formula, weights = parse_formula(MIXED6_TEXT)
+    sizes = _Sizes()
+    solve(formula, weights, plan(formula, heuristic_order(formula, Heuristic.MIN_FILL)),
+          observer=sizes)
+    node_lines = [line for line in dot.splitlines() if "[shape=" in line]
+    assert len(node_lines) == max(sizes.sizes) > 1
+
+
+def test_only_dot_walks_diagram_sizes(capsys, tmp_path, mixed6_file, monkeypatch):
+    # a solve joins and projects and measures nothing: the reachability walk
+    # behind DiagramManager.size runs for --dot alone
+    class Walked(Exception):
+        pass
+
+    def size(manager, f):
+        raise Walked
+
+    monkeypatch.setattr(DiagramManager, "size", size)
+    formula, weights = parse_formula(MIXED6_TEXT)
+    tree = plan(formula, heuristic_order(formula, Heuristic.MIN_FILL))
+    for mode in ("linear", "log10"):
+        solve(formula, weights, tree, mode=mode)
+    count(formula, weights, tree)
+    assert verify_checkpoints(formula, weights, tree) is None
+    code, _, _ = run(capsys, ["solve", mixed6_file, "--verify"])
+    assert code == 0
+    with pytest.raises(Walked):
+        main(["solve", mixed6_file, "--dot", str(tmp_path / "diagram.dot")])
 
 
 def test_plan_reports_width(capsys, mixed6_file, tmp_path):

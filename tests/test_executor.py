@@ -12,7 +12,6 @@ from xormpe.executor import (
     Observer,
     count,
     solve,
-    solve_monolithic,
     valuate,
     verify_checkpoints,
 )
@@ -25,7 +24,7 @@ from xormpe.formula import (
 from xormpe.oracle import brute_solve
 from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan
 
-from conftest import FaultyManager, disj, injected_fault, xor
+from conftest import FaultyManager, disj, injected_fault, solve_monolithic, xor
 
 
 def plan_for(formula, heuristic=Heuristic.MIN_FILL):
@@ -101,11 +100,6 @@ def test_unconstrained_variable_prefers_heavier_polarity():
     result = solve(formula, weights, plan_for(formula))
     assert result.maximum == 100.0
     assert result.maximizer == {1: False}
-
-
-def test_monolithic_guard():
-    with pytest.raises(GuardError, match="monolithic limit exceeded"):
-        solve_monolithic(Formula(40, []), WeightFunction())
 
 
 def test_solve_rejects_unknown_mode(mixed6, unit_weights, mixed6_tree):
@@ -311,14 +305,12 @@ def test_solve_joins_once_per_later_child_and_projected_variable(
     assert calls == {"join": 4, "exists_project": 6}
 
 
-def test_want_dot_keeps_largest_diagram(mixed6, unit_weights, mixed6_tree):
-    # the observer keeps the diagram that --dot renders: the one whose size
-    # solve reports as peak_nodes
+def test_peak_nodes_counts_allocated_nodes(mixed6, unit_weights, mixed6_tree):
+    # the base observer keeps the manager it is set up with; a solve frees
+    # no node, so the manager's final count is the solve's peak
     observer = Observer()
     result = solve(mixed6, unit_weights, mixed6_tree, observer=observer)
-    assert observer.largest is not None
-    assert observer.manager.size(observer.largest) == result.stats.peak_nodes
-    assert observer.manager.to_dot(observer.largest).startswith("digraph")
+    assert result.stats.peak_nodes == observer.manager.node_count()
 
 
 # ----------------------------------------------------------------- checkpoints
