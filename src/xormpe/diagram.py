@@ -13,11 +13,12 @@ The manager has two value domains:
             are unavailable in this domain.
 
 The join kernel is built once per manager. `_eliminate` projects a variable
-out together with its literal weights: it rebuilds the nodes above the
-variable and walks its two cofactors as a pair below, emitting the max (for
-`exists_project`) or the sum (`add_project`) of w_neg (x) lo and w_pos (x) hi,
-so no weighted product is built; (x) is `_weigh`, the join kernel's rule for
-two values. `size` and `to_dot` share one reachability walk, `_reachable`.
+out with its literal weights: it rebuilds the nodes above the variable and
+walks its two cofactors as a pair below, emitting the max (`exists_project`)
+or the sum (`add_project`) of w_neg (x) lo and w_pos (x) hi, where (x) is
+`_weigh`, the join kernel's rule for two values, so no weighted product is
+built. The operation cache holds one join or elimination at a time, so no key
+carries a tag, variable or weight. `size` and `to_dot` share `_reachable`.
 
 A node's level is its variable's index, so every manager orders variables by
 ascending index and takes no order; every terminal is at `_LEAF_LEVEL`, below
@@ -109,7 +110,7 @@ class DiagramManager:
     """Shared node store, unique table, and operation cache for one solve.
 
     Not thread-safe; confine a manager and its functions to one thread. The
-    operation cache is unbounded and lives as long as the manager.
+    operation cache holds one join or elimination, emptied as the next starts.
     """
 
     def __init__(self, log_mode: bool = False):
@@ -123,7 +124,7 @@ class DiagramManager:
 
         self._unique: dict[tuple[int, int, int], int] = {}
         self._terminals: dict[float, int] = {}
-        self._cache: dict[tuple, int] = {}
+        self._cache: dict = {}  # the operation in progress: (u, v), (a, b) or node
 
         self._one = self._terminal(0.0 if log_mode else 1.0)
         self._zero = self._terminal(_NEG_INF if log_mode else 0.0)
@@ -171,9 +172,6 @@ class DiagramManager:
             self._unique[key] = node
         return node
 
-    def _wrap(self, node: int) -> Function:
-        return Function(self, node)
-
     def _root(self, f: Function) -> int:
         if f.manager is not self:
             raise ValueError("function belongs to a different manager")
@@ -183,15 +181,15 @@ class DiagramManager:
 
     def constant(self, value: float) -> Function:
         """Terminal with the given raw value (in the manager's value domain)."""
-        return self._wrap(self._terminal(float(value)))
+        return Function(self, self._terminal(float(value)))
 
     def one(self) -> Function:
         """Unit of the join algebra (1 linear, 0.0 in log10)."""
-        return self._wrap(self._one)
+        return Function(self, self._one)
 
     def zero(self) -> Function:
         """Annihilator of the join algebra (0 linear, -inf in log10)."""
-        return self._wrap(self._zero)
+        return Function(self, self._zero)
 
     def _weights(self, var: int, w_neg: float, w_pos: float) -> tuple[float, float]:
         """var's linear-domain weights in the manager's value domain."""
@@ -207,7 +205,7 @@ class DiagramManager:
     def literal_weight(self, var: int, w_neg: float, w_pos: float) -> Function:
         """Single-variable weight function; takes linear-domain weights."""
         w_neg, w_pos = self._weights(var, w_neg, w_pos)
-        return self._wrap(self._mk(var, self._terminal(w_neg), self._terminal(w_pos)))
+        return Function(self, self._mk(var, self._terminal(w_neg), self._terminal(w_pos)))
 
     def from_clause(self, clause: Clause) -> Function:
         """0/1 indicator of the clause (also in log10 mode: -inf/0)."""
@@ -218,13 +216,13 @@ class DiagramManager:
             for lit in deepest_first:
                 low, high = (node, true_t) if lit.positive else (true_t, node)
                 node = self._mk(lit.var, low, high)
-            return self._wrap(node)
+            return Function(self, node)
         # xor: track both parities of the suffix; a negative literal swaps them
         even, odd = false_t, true_t
         for lit in deepest_first:
             low, high = (even, odd) if lit.positive else (odd, even)
             even, odd = self._mk(lit.var, low, high), self._mk(lit.var, high, low)
-        return self._wrap(even)
+        return Function(self, even)
 
     # ------------------------------------------------------------ combinators
 
@@ -244,7 +242,7 @@ class DiagramManager:
                 return zero
             if u > v:  # the product commutes, so one cache key serves both orders
                 u, v = v, u
-            key = ("j", u, v)
+            key = (u, v)
             result = cache.get(key)
             if result is not None:
                 return result
@@ -266,22 +264,23 @@ class DiagramManager:
     def join(self, f: Function, g: Function) -> Function:
         """Pointwise product (sum of logs in log10 mode); a linear product of
         nonzero values that underflows raises GuardError."""
-        return self._wrap(self._join(self._root(f), self._root(g)))
+        self._cache.clear()  # first, as a join cut short by GuardError leaves entries
+        return Function(self, self._join(self._root(f), self._root(g)))
 
     def _eliminate(self, f: Function, var: int, w_neg: float, w_pos: float,
-                   tag: str, combine) -> Function:
+                   combine) -> Function:
         """combine(w_neg (x) f|var=0, w_pos (x) f|var=1) pointwise in one pass
         over f, which never builds a weighted copy of either cofactor."""
         w0, w1 = self._weights(var, w_neg, w_pos)
         level, low, high, value = self._level, self._low, self._high, self._value
         cache, mk, terminal, weigh = self._cache, self._mk, self._terminal, self._weigh
         keep = combine is max and w0 == w1 == value[self._one]  # then max(a, a) is a
-        above = tag.upper()
+        cache.clear()
 
         def pair(a: int, b: int) -> int:
             if keep and a == b:
                 return a
-            key = (tag, a, b, w0, w1)
+            key = (a, b)
             result = cache.get(key)
             if result is not None:
                 return result
@@ -304,28 +303,27 @@ class DiagramManager:
                 return pair(node, node)
             if l == var:
                 return pair(low[node], high[node])
-            key = (above, node, var, w0, w1)
-            result = cache.get(key)
+            result = cache.get(node)  # an int key cannot meet pair's tuples
             if result is None:
                 result = mk(l, rec(low[node]), rec(high[node]))
-                cache[key] = result
+                cache[node] = result
             return result
 
-        return self._wrap(rec(self._root(f)))
+        return Function(self, rec(self._root(f)))
 
     def exists_project(self, f: Function, var: int,
                        w_neg: float = 1.0, w_pos: float = 1.0) -> Function:
         """Pointwise max of the two cofactors, each times var's linear-domain
         weight for that polarity; removes var from the support. A var that f
         does not depend on, whatever its index, gives max(w_neg, w_pos) (x) f."""
-        return self._eliminate(f, var, w_neg, w_pos, "m", max)
+        return self._eliminate(f, var, w_neg, w_pos, max)
 
     def add_project(self, f: Function, var: int,
                     w_neg: float = 1.0, w_pos: float = 1.0) -> Function:
         """Pointwise sum of the two weighted cofactors; linear domain only."""
         if self.log_mode:
             raise ValueError("additive operations are unavailable in log10 mode")
-        return self._eliminate(f, var, w_neg, w_pos, "a", operator.add)
+        return self._eliminate(f, var, w_neg, w_pos, operator.add)
 
     def derivative_sign(self, f: Function, var: int,
                         w_neg: float = 1.0, w_pos: float = 1.0) -> DerivativeSign:

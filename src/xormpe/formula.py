@@ -127,7 +127,9 @@ class WeightFunction:
         self._pairs: dict[int, tuple[float, float]] = {}
         if pairs:
             for var, (w_neg, w_pos) in pairs.items():
-                self._pairs[int(var)] = (_check_weight(w_neg), _check_weight(w_pos))
+                if not isinstance(var, int) or var < 1:
+                    raise ValueError(f"variable index must be an integer >= 1, got {var!r}")
+                self._pairs[var] = (_check_weight(w_neg), _check_weight(w_pos))
 
     def set_literal(self, lit: int, weight: float) -> None:
         """Set the weight of one literal (positive lit: the 1-polarity)."""

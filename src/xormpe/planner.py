@@ -235,6 +235,8 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
             return Violation("structure", f"leaf {index} has children", node=index)
         if not node.is_leaf and not node.children and index != tree.root:
             return Violation("structure", f"internal node {index} has no children", node=index)
+        if any(not 0 <= child < len(tree.nodes) for child in node.children):
+            return Violation("structure", f"node {index} has an out-of-range child", node=index)
         stack.extend(node.children)
 
     leaves = [i for i in reached if tree.nodes[i].is_leaf]

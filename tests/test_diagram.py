@@ -354,6 +354,43 @@ def test_weighted_projection_keeps_the_underflow_guard():
     assert mgr.exists_project(mgr.one(), 1, 5e-324, 0.0) == subnormal
 
 
+def test_no_op_cache_entry_crosses_operations():
+    # a join's keys and a projection's pair keys share one shape, so an entry
+    # left by one operation would be read by the next
+    def setup(low, high):
+        """a, b over x2, and f, whose cofactors on x1 are a (x1=0) and b."""
+        mgr = DiagramManager()
+        a, b = mgr.literal_weight(2, *low), mgr.literal_weight(2, *high)
+        f = add(mgr.join(mgr.literal_weight(1, 1.0, 0.0), a),
+                mgr.join(mgr.literal_weight(1, 0.0, 1.0), b))
+        return mgr, a, b, f
+
+    def values(f):
+        return [f.evaluate(a) for a in assignments({1, 2})]
+
+    def fresh(operation, low, high):
+        mgr, _, _, f = setup(low, high)
+        return values(operation(mgr, f))
+
+    def maximum(mgr, f):
+        return mgr.exists_project(f, 1)
+
+    def total(mgr, f):
+        return mgr.add_project(f, 1, 3.0, 0.25)
+
+    mgr, a, b, f = setup((2.0, 3.0), (5.0, 7.0))
+    mgr.join(a, b)
+    assert values(maximum(mgr, f)) == fresh(maximum, (2.0, 3.0), (5.0, 7.0))
+    mgr.exists_project(f, 1, 0.5, 4.0)
+    assert values(total(mgr, f)) == fresh(total, (2.0, 3.0), (5.0, 7.0))
+
+    # the join caches 3 * 5 on its low branch, then underflows on its high one
+    mgr, a, b, f = setup((3.0, 1e-200), (5.0, 1e-200))
+    with pytest.raises(GuardError):
+        mgr.join(a, b)
+    assert values(maximum(mgr, f)) == fresh(maximum, (3.0, 1e-200), (5.0, 1e-200))
+
+
 # ------------------------------------------------------------ derivative sign
 
 def test_derivative_sign_constant_conditions(mgr):

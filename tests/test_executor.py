@@ -313,6 +313,24 @@ def test_peak_nodes_counts_allocated_nodes(mixed6, unit_weights, mixed6_tree):
     assert result.stats.peak_nodes == observer.manager.node_count()
 
 
+def test_op_cache_holds_one_operation():
+    # every join and projection empties the cache as it starts, so a long
+    # solve never holds more than the entries of the operation in progress
+    class CacheWatcher(Observer):
+        most = 0
+
+        def watch(self, *args):
+            self.most = max(self.most, len(self.manager._cache))
+
+        child_joined = projected = exit = watch
+
+    formula, weights = gen_chain(ChainSpec(20000, 2, 1))
+    watcher = CacheWatcher()
+    solve(formula, weights, plan(formula, list(formula.variables)), mode="log10",
+          observer=watcher)
+    assert watcher.most <= 8
+
+
 # ----------------------------------------------------------------- checkpoints
 
 def test_verify_passes_on_small_instances(mixed6, unit_weights, mixed6_tree):

@@ -159,6 +159,11 @@ def test_weight_function_rejects_bad_values():
         weights.set_literal(1, float("nan"))
     with pytest.raises(ValueError):
         weights.set_literal(0, 1.0)
+    # a key of -2 would print lines that reparse with the polarities swapped,
+    # and a key of 0 text that does not reparse
+    for var in (0, -2, 1.5):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            WeightFunction({var: (2.0, 3.0)})
 
 
 def test_literal_from_int():

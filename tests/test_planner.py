@@ -47,6 +47,15 @@ def test_mixed6_tree_broken_descendant(mixed6, mixed6_tree):
     assert violation.clause == 1
 
 
+@pytest.mark.parametrize("child", [99, -1])
+def test_validate_reports_an_out_of_range_child(mixed6, mixed6_tree, child):
+    mixed6_tree.nodes[mixed6_tree.root].children.append(child)
+    violation = validate(mixed6_tree, mixed6)
+    assert violation is not None
+    assert violation.kind == "structure"
+    assert violation.node == mixed6_tree.root
+
+
 def test_primal_graph_chain():
     formula, _ = gen_chain(ChainSpec(5, 2, 0))
     graph = primal_graph(formula)
