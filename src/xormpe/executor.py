@@ -11,10 +11,10 @@ weights: it has to cover every remaining factor that depends on the variable,
 or unconstrained variables would tie and lose their weight preference.
 
 `verify_checkpoints` reruns a solve with an observer that maintains the
-set of eliminated variables and the multiset of active functions, checking at
-every step - by exhaustive enumeration, so only small instances - that the
-active product equals the projected master function and that each recorded
-sign extends maximizers correctly.
+multiset of active functions, checking after every state change - by
+exhaustive enumeration, so only small instances - that the active product
+equals the projected master function and that each recorded sign extends
+maximizers correctly.
 """
 
 from __future__ import annotations
@@ -63,9 +63,11 @@ class SolveResult:
 
 class Observer:
     """Hook into a valuation: the executor calls these methods in execution
-    order. Pass an instance as `observer=` to `solve` or `valuate`, one
-    instance per solve. Every event is a no-op here, and the base class keeps
-    nothing but the manager; subclasses override the events they need."""
+    order, one event per change of its state, so a node's own work runs from
+    the previous event to its `exit`. Pass an instance as `observer=` to
+    `solve` or `valuate`, one instance per solve. Every event is a no-op here,
+    and the base class keeps nothing but the manager; subclasses override the
+    events they need."""
 
     manager: DiagramManager  # from setup on
 
@@ -73,15 +75,9 @@ class Observer:
         """Before the first node, with the manager the valuation uses."""
         self.manager = manager
 
-    def enter(self, node: int) -> None:
-        """Before a node is valuated; its children already are."""
-
     def child_joined(self, node: int, h: Function, previous: Function,
                      joined: Function) -> None:
         """The child's valuation h was joined into previous."""
-
-    def joins_done(self, node: int, f: Function) -> None:
-        """Every child is joined in; f is their product."""
 
     def sign_pushed(self, node: int, var: int, sign: DerivativeSign) -> None:
         """var's sign, its weights included, was recorded before var is projected."""
@@ -129,17 +125,25 @@ def valuate(
     over the tree. Derivative signs are pushed onto `stack`, one per
     projected variable, before each projection. `project` eliminates one
     variable under its linear-domain weights: `manager.exists_project` by
-    default, `manager.add_project` to count. `observer` receives every step."""
+    default, `manager.add_project` to count. `observer` receives every step.
+
+    The same pass checks the two facts of a valid tree that a wrong answer
+    would hide: it must meet every clause's leaf and project every formula
+    variable, each exactly once; if not, it raises ValueError."""
     if project is None:
         project = manager.exists_project
     if observer is None:
         observer = Observer()
     observer.setup(manager)
     values: dict[int, Function] = {}
+    clauses: set[int] = set()
+    projected: set[int] = set()
     for node_id in tree.post_order():
-        observer.enter(node_id)
         pjt_node = tree.nodes[node_id]
         if pjt_node.is_leaf:
+            if pjt_node.clause_index in clauses:
+                raise ValueError(f"tree meets clause {pjt_node.clause_index} twice")
+            clauses.add(pjt_node.clause_index)
             f = manager.from_clause(formula.clauses[pjt_node.clause_index])
         else:
             # every function met here depends only on vars and pi, which are disjoint
@@ -150,8 +154,11 @@ def valuate(
                 h = values.pop(child)
                 previous, f = f, manager.join(f, h)
                 observer.child_joined(node_id, h, previous, f)
-            observer.joins_done(node_id, f)
             for x in sorted(pjt_node.pi):
+                if x in projected or not 0 < x <= formula.var_count:
+                    raise ValueError(f"tree projects variable {x} twice or outside "
+                                     f"1..{formula.var_count}")
+                projected.add(x)
                 w_neg, w_pos = weights.pair(x)
                 if stack is not None:
                     # the sign covers every remaining factor depending on x: f and x's weights
@@ -162,6 +169,11 @@ def valuate(
                 observer.projected(node_id, x, previous, f)
         observer.exit(node_id, f)
         values[node_id] = f
+    for what, met, items in (("clause", clauses, range(len(formula.clauses))),
+                             ("variable", projected, formula.variables)):
+        if len(met) < len(items):
+            missing = next(item for item in items if item not in met)
+            raise ValueError(f"tree leaves out {what} {missing}")
     return f
 
 
@@ -186,19 +198,12 @@ def solve(
     stack: list[DerivativeSign] = []
     root = valuate(manager, formula, tree, weights, stack=stack, observer=observer)
     maximum = _root_value(root)
-
-    if len(stack) != formula.var_count:
-        raise InternalError(
-            f"sign stack holds {len(stack)} entries for {formula.var_count} variables")
-    if len({sign.var for sign in stack}) != len(stack):
-        raise InternalError("sign stack repeats a variable")
     observer.after_valuate(maximum)
 
+    # valuate saw every variable projected once: the stack holds one sign each
     maximizer: dict[int, bool] = {}
     while stack:
         sign = stack.pop()
-        if sign.var in maximizer:
-            raise InternalError(f"variable {sign.var} assigned twice")
         try:
             maximizer[sign.var] = sign.choose(maximizer)
         except KeyError as exc:
@@ -262,9 +267,11 @@ class _CheckFailed(Exception):
 
 
 class _Verifier(Observer):
-    """Instrumentation mirroring the annotated execution: E is the eliminated
-    set, A the multiset of active functions (by node id). All checks compare
-    against the oracle's dense enumeration of the weighted formula."""
+    """Instrumentation mirroring the annotated execution: A is the multiset of
+    active functions (by node id), `expected` the oracle's dense enumeration
+    of the weighted formula maximized over the variables projected so far,
+    one axis per projection (a max is exact, so the order is free). The state
+    is checked once after setup, each join and each projection."""
 
     def __init__(self, formula: Formula, weights: WeightFunction):
         super().__init__()
@@ -273,12 +280,9 @@ class _Verifier(Observer):
         self.n = formula.var_count
         self.size = 1 << self.n
         indices = np.arange(self.size, dtype=np.int64)
-        self.bits = {
-            var: ((indices >> (var - 1)) & 1) == 1
-            for var in formula.variables
-        }
+        self.bits = {var: ((indices >> (var - 1)) & 1) == 1 for var in formula.variables}
         self.master = brute_solve(formula, weights).values
-        self.eliminated: set[int] = set()
+        self.expected = self.master
         self.active: dict[int, int] = {}  # node id -> multiplicity
         self._grids: dict[int, np.ndarray] = {}
 
@@ -292,6 +296,7 @@ class _Verifier(Observer):
             self._insert(manager.from_clause(clause))
         for var in self.formula.variables:
             self._insert(manager.literal_weight(var, *self.weights.pair(var)))
+        self._check_active("pre-condition", None)
 
     def _insert(self, f: Function) -> None:
         if f.node != self.manager._one:  # the unit is no factor of the product
@@ -330,18 +335,13 @@ class _Verifier(Observer):
                 product = product * grid
         return product
 
-    def _reduce_max(self, grid: np.ndarray, variables) -> np.ndarray:
-        shaped = grid.reshape((2,) * self.n) if self.n else grid
-        for var in variables:
-            axis = self.n - var
-            shaped = np.broadcast_to(
-                shaped.max(axis=axis, keepdims=True), (2,) * self.n)
-        return np.asarray(shaped).reshape(-1)
+    def _reduce_max(self, grid: np.ndarray, var: int) -> np.ndarray:
+        shaped = grid.reshape((2,) * self.n)
+        return np.broadcast_to(shaped.max(axis=self.n - var, keepdims=True),
+                               shaped.shape).reshape(-1)
 
     def _check_active(self, checkpoint: str, node: int | None, variable: int | None = None):
-        expected = self._reduce_max(self.master, self.eliminated)
-        got = self._active_product()
-        if not np.allclose(got, expected, rtol=_RTOL, atol=0.0):
+        if not np.allclose(self._active_product(), self.expected, rtol=_RTOL, atol=0.0):
             raise _CheckFailed(CheckpointFailure(
                 checkpoint,
                 f"active product deviates from the projected master at node {node}",
@@ -349,22 +349,16 @@ class _Verifier(Observer):
 
     # -- events from the executor ------------------------------------------
 
-    def enter(self, node: int) -> None:
-        self._check_active("pre-condition", node)
-
     def child_joined(self, node: int, h: Function, previous: Function, joined: Function) -> None:
         self._remove(h)
         self._remove(previous)
         self._insert(joined)
-
-    def joins_done(self, node: int, f: Function) -> None:
         self._check_active("join-condition", node)
 
     def sign_pushed(self, node: int, var: int, sign: DerivativeSign) -> None:
-        # if t maximizes the (var + eliminated)-projection, t extended by the
-        # recorded sign must maximize the eliminated-projection
-        c_after = self._reduce_max(self.master, self.eliminated | {var})
-        c_before = self._reduce_max(self.master, self.eliminated)
+        # if t maximizes the (var + projected)-projection, t extended by the
+        # recorded sign must maximize the projected-variables projection
+        c_before, c_after = self.expected, self._reduce_max(self.expected, var)
         overall = c_after.max()
         maximizers = c_after == overall
         # hi and lo: every point with var (bit var-1 of the index) set to 1, 0
@@ -383,29 +377,20 @@ class _Verifier(Observer):
         self._remove(previous)
         self._remove(self.manager.literal_weight(var, *self.weights.pair(var)))
         self._insert(result)
-        self.eliminated.add(var)
+        self.expected = self._reduce_max(self.expected, var)
         self._check_active("project-condition", node, variable=var)
 
-    def exit(self, node: int, f: Function) -> None:
-        self._check_active("post-condition", node)
-
     def after_valuate(self, maximum: float) -> None:
-        if self.eliminated != set(self.formula.variables):
-            raise _CheckFailed(CheckpointFailure(
-                "maximizer-const", "not all variables were eliminated"))
-        overall = self.master.max() if self.size else self.master
+        overall = self.master.max()
         if not math.isclose(maximum, float(overall), rel_tol=_RTOL, abs_tol=0.0):
             raise _CheckFailed(CheckpointFailure(
                 "maximizer-const",
                 f"root value {maximum} deviates from enumerated maximum {overall}"))
+        self._mask = np.ones(self.size, dtype=bool)  # points that agree with the pops so far
 
     def popped(self, var: int, assignment: Assignment) -> None:
-        self.eliminated.discard(var)
-        mask = np.ones(self.size, dtype=bool)
-        for v, value in assignment.items():
-            mask &= self.bits[v] == value
-        reachable = self.master[mask].max()
-        overall = self.master.max()
+        self._mask &= self.bits[var] == assignment[var]
+        reachable, overall = self.master[self._mask].max(), self.master.max()
         if not math.isclose(float(reachable), float(overall),
                             rel_tol=_RTOL, abs_tol=0.0):
             raise _CheckFailed(CheckpointFailure(

@@ -133,8 +133,8 @@ class WeightFunction:
 
     def set_literal(self, lit: int, weight: float) -> None:
         """Set the weight of one literal (positive lit: the 1-polarity)."""
-        if lit == 0:
-            raise ValueError("literal 0 has no weight")
+        if not isinstance(lit, int) or lit == 0:
+            raise ValueError(f"literal {lit!r} is not a nonzero integer")
         weight = _check_weight(weight)
         var = abs(lit)
         w_neg, w_pos = self._pairs.get(var, (1.0, 1.0))
@@ -255,13 +255,16 @@ def _parse_clause_line(tokens, var_count) -> Clause:
 
 def format_formula(formula: Formula, weights: WeightFunction) -> str:
     """Print an instance; clauses in input order, weights sorted by variable
-    then polarity (negative first). Reparsing yields an equal instance."""
+    then polarity (negative first). Reparsing yields an equal instance, so
+    a weight on a variable the formula does not declare raises ValueError."""
     lines = [f"p cnf {formula.var_count} {len(formula.clauses)}"]
     for clause in formula.clauses:
         body = " ".join(str(lit.to_int()) for lit in clause.literals)
         prefix = "x " if clause.kind is ClauseKind.XOR else ""
         lines.append(f"{prefix}{body} 0")
     for var, w_neg, w_pos in weights.listed():
+        if var > formula.var_count:
+            raise ValueError(f"weight on variable {var} beyond {formula.var_count} variables")
         lines.append(f"w {-var} {w_neg!r}")
         lines.append(f"w {var} {w_pos!r}")
     return "\n".join(lines) + "\n"

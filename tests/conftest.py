@@ -170,10 +170,12 @@ class FaultyManager(DiagramManager):
       weights, as if that variable's weight were never joined in;
     * push_after_project: every derivative sign is the constant 1, which is
       what a sign taken after the projection would be;
-    * tie_break_low: signs prefer 0 on ties (> in place of >=).
+    * tie_break_low: signs prefer 0 on ties (> in place of >=);
+    * second_join_left: the second join returns its left operand, as if that
+      child were never joined in.
     """
 
-    KINDS = ("skip_weight_join", "push_after_project", "tie_break_low")
+    KINDS = ("skip_weight_join", "push_after_project", "tie_break_low", "second_join_left")
 
     def __init__(self, log_mode=False, *, fault):
         if fault not in self.KINDS:
@@ -181,12 +183,19 @@ class FaultyManager(DiagramManager):
         super().__init__(log_mode)
         self.fault = fault
         self._skip_armed = fault == "skip_weight_join"
+        self._joins = 0
 
     def _drop_first_weights(self, w_neg, w_pos):
         if self._skip_armed:
             self._skip_armed = False
             return 1.0, 1.0
         return w_neg, w_pos
+
+    def join(self, f, g):
+        self._joins += 1
+        if self.fault == "second_join_left" and self._joins == 2:
+            return f
+        return super().join(f, g)
 
     def exists_project(self, f, var, w_neg=1.0, w_pos=1.0):
         return super().exists_project(f, var, *self._drop_first_weights(w_neg, w_pos))

@@ -310,6 +310,15 @@ def test_export_wcnf_refuses_double_zero(capsys, tmp_path):
     assert "zero" in err
 
 
+@pytest.mark.parametrize("scale", ["0", "-10"])
+def test_export_wcnf_refuses_a_scale_below_one(capsys, unit_file, scale):
+    code, out, err = run(capsys, ["export-wcnf", unit_file, "--wcnf-scale", scale])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "integer >= 1" in err
+
+
 def test_solve_and_oracle_agree(capsys, mixed6_file):
     code, solver_out, _ = run(capsys, ["solve", mixed6_file, "--format", "machine"])
     assert code == 0

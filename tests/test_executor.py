@@ -8,6 +8,7 @@ import pytest
 from xormpe.benchgen import ChainSpec, gen_chain, gen_random
 from xormpe.diagram import DiagramManager
 from xormpe.errors import GuardError
+from xormpe import executor
 from xormpe.executor import (
     Observer,
     count,
@@ -22,7 +23,7 @@ from xormpe.formula import (
     evaluate_weight,
 )
 from xormpe.oracle import brute_solve
-from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan
+from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan, validate
 
 from conftest import FaultyManager, disj, injected_fault, solve_monolithic, xor
 
@@ -105,6 +106,29 @@ def test_unconstrained_variable_prefers_heavier_polarity():
 def test_solve_rejects_unknown_mode(mixed6, unit_weights, mixed6_tree):
     with pytest.raises(ValueError):
         solve(mixed6, unit_weights, mixed6_tree, mode="log2")
+
+
+def test_solve_rejects_a_tree_that_leaves_out_a_clause():
+    # the root meets only clause 0; without clause 1 (-x2) the solve would
+    # return 10 with x2 true, where the answer is 2
+    formula = Formula(2, [disj(1, 2), disj(-2)])
+    weights = WeightFunction({1: (1, 2), 2: (1, 5)})
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([0], [1, 2])
+    assert brute_solve(formula, weights).maximum == 2.0
+    with pytest.raises(ValueError, match="leaves out clause 1"):
+        solve(formula, weights, tree)
+
+
+def test_count_rejects_a_tree_that_projects_a_variable_twice():
+    # summing x1 out twice would triple the count: 51 for 17
+    formula = Formula(2, [disj(1, 2)])
+    weights = WeightFunction({1: (1, 2), 2: (1, 5)})
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([tree.add_internal([0], [1])], [1, 2])
+    assert brute_solve(formula, weights).wmc == 17.0
+    with pytest.raises(ValueError, match="variable 1 twice"):
+        count(formula, weights, tree)
 
 
 # -------------------------------------------------------------------- valuate
@@ -342,6 +366,21 @@ def test_verify_passes_on_small_instances(mixed6, unit_weights, mixed6_tree):
         assert verify_checkpoints(formula, w, plan_for(formula)) is None
 
 
+def test_verify_checks_each_state_once(mixed6, unit_weights, mixed6_tree, monkeypatch):
+    # once after setup, once per join (4) and once per projection (6)
+    calls = 0
+    check = executor._Verifier._check_active
+
+    def counting(verifier, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return check(verifier, *args, **kwargs)
+
+    monkeypatch.setattr(executor._Verifier, "_check_active", counting)
+    assert verify_checkpoints(mixed6, unit_weights, mixed6_tree) is None
+    assert calls == 11
+
+
 def test_verify_guard():
     formula = Formula(17, [])
     with pytest.raises(GuardError, match="verification limit"):
@@ -355,6 +394,15 @@ def test_fault_skip_weight_caught_at_project_condition():
         failure = verify_checkpoints(formula, weights, plan_for(formula))
     assert failure is not None
     assert failure.checkpoint == "project-condition"
+
+
+def test_fault_second_join_caught_at_its_node(mixed6, unit_weights, mixed6_tree):
+    # the first two joins are at the node over n6, n7 and leaf 2 (clause x1)
+    [node] = [i for i, n in enumerate(mixed6_tree.nodes) if len(n.children) == 3]
+    with injected_fault("second_join_left"):
+        failure = verify_checkpoints(mixed6, unit_weights, mixed6_tree)
+    assert failure is not None
+    assert (failure.checkpoint, failure.node) == ("join-condition", node)
 
 
 def test_fault_push_after_project_caught():
@@ -438,21 +486,28 @@ def test_wide_shallow_tree_solves():
 
 def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
     # a narrow solve that runs while a wide one is under way, here in another
-    # thread between the wide root's joins and its deep projections, must
+    # thread before the wide root's first deep projection, must
     # not take away the recursion depth the wide solve needs
     wide, wide_tree = wide_clause_instance(1500)
     narrow, narrow_weights = gen_chain(ChainSpec(40, 2, 3))
     narrow_tree = plan(narrow, list(narrow.variables))
 
     class NarrowSolveMidway(Observer):
-        def joins_done(self, node, f):
+        ran = False
+
+        def sign_pushed(self, node, var, sign):
+            if self.ran:
+                return
+            self.ran = True
             thread = threading.Thread(target=solve,
                                       args=(narrow, narrow_weights, narrow_tree))
             thread.start()
             thread.join(timeout=60)
             assert not thread.is_alive()
 
-    result = solve(wide, WeightFunction(), wide_tree, observer=NarrowSolveMidway())
+    midway = NarrowSolveMidway()
+    result = solve(wide, WeightFunction(), wide_tree, observer=midway)
+    assert midway.ran
     assert result.maximum == 1.0
     assert all(result.maximizer.values())
 
@@ -462,10 +517,15 @@ def test_subtree_valuation_sizes_recursion_from_its_own_nodes():
     # root's subtree, must not raise the limit for a valuation that never
     # enters it, although it sets the tree's width
     wide = sys.getrecursionlimit()
-    formula = Formula(wide + 2, [disj(1, 2), disj(*range(3, wide + 3))])
+    formula = Formula(wide + 2, [disj(1, 2), disj(3)])
     tree = ProjectJoinTree(formula)
     tree.add_internal([1], range(3, wide + 3))
-    tree.root = tree.add_internal([0], [1, 2])
+    # the root's subtree: narrow nodes that project 1-2, then 3, then 4, 5, ...
+    node = tree.add_internal([tree.add_internal([0], [1, 2]), 1], [3])
+    for var in range(4, wide + 3):
+        node = tree.add_internal([node], [var])
+    tree.root = node
+    assert validate(tree, formula) is None
     assert tree.width() == wide
     manager = DiagramManager()
     f = valuate(manager, formula, tree, WeightFunction())
@@ -479,7 +539,7 @@ def test_solve_leaves_recursion_limit_alone():
             super().__init__()
             self.limits = set()
 
-        def enter(self, node):
+        def exit(self, node, f):
             self.limits.add(sys.getrecursionlimit())
 
     formula, weights = gen_chain(ChainSpec(300, 2, 4))

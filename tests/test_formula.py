@@ -166,6 +166,24 @@ def test_weight_function_rejects_bad_values():
             WeightFunction({var: (2.0, 3.0)})
 
 
+def test_set_literal_rejects_a_non_integer_literal():
+    # -2.5 was stored under key 2.5 and printed as a line that does not reparse
+    weights = WeightFunction()
+    for lit in (-2.5, 3.0, "1"):
+        with pytest.raises(ValueError, match="nonzero integer"):
+            weights.set_literal(lit, 3.0)
+    assert weights.listed() == []
+
+
+def test_format_formula_rejects_weights_beyond_var_count():
+    # "w -5 2.0" under "p cnf 1 0" would not reparse: literal -5 out of range
+    weights = WeightFunction({5: (2.0, 3.0)})
+    with pytest.raises(ValueError, match="variable 5"):
+        format_formula(Formula(1, []), weights)
+    text = format_formula(Formula(5, []), weights)
+    assert parse_formula(text) == (Formula(5, []), weights)
+
+
 def test_literal_from_int():
     assert Literal.from_int(-3) == Literal(3, False)
     with pytest.raises(ValueError):

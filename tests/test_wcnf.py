@@ -115,6 +115,14 @@ def test_scale_parameter():
                                                  round(100 * math.log(100))]
 
 
+@pytest.mark.parametrize("scale", [0, -10, 2.5])
+def test_scale_must_be_a_positive_integer(scale):
+    # zero soft weights erase the weight preference, negative ones invert it
+    formula = Formula(1, [disj(1)])
+    with pytest.raises(ExportError, match="integer >= 1"):
+        export_wcnf(formula, WeightFunction({1: (10, 100)}), scale=scale)
+
+
 def jittered_instance(trial):
     rng = random.Random(4000 + trial)
     n = rng.randint(2, 8)
