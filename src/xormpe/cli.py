@@ -134,9 +134,8 @@ class _LargestDiagram(executor.Observer):
 
 def cmd_solve(args) -> int:
     formula, weights = _read_instance(args.input)
-    heuristic = planner.Heuristic(args.plan_heuristic)
     plan_start = time.perf_counter()
-    order = planner.heuristic_order(formula, heuristic)
+    order = planner.heuristic_order(formula, args.plan_heuristic)
     tree = planner.plan(formula, order)
     plan_time = time.perf_counter() - plan_start
 
@@ -166,8 +165,7 @@ def cmd_solve(args) -> int:
 
 def cmd_plan(args) -> int:
     formula, _ = _read_instance(args.input)
-    heuristic = planner.Heuristic(args.plan_heuristic)
-    order = planner.heuristic_order(formula, heuristic)
+    order = planner.heuristic_order(formula, args.plan_heuristic)
     tree = planner.plan(formula, order)
     violation = planner.validate(tree, formula)
     if violation is not None:

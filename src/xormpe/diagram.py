@@ -31,7 +31,7 @@ import math
 import operator
 import sys
 from collections import ChainMap
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GuardError
 from .formula import Assignment, Clause, ClauseKind
@@ -84,8 +84,7 @@ class Function:
         return f"Function(node={self.node})"
 
 
-@dataclass(frozen=True)
-class DerivativeSign:
+class DerivativeSign(NamedTuple):
     """Which polarity of a variable maximizes a function times the
     variable's weights (`w_neg`, `w_pos`, in the manager's value domain).
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -123,23 +124,26 @@ def primal_graph(formula: Formula) -> dict[int, set[int]]:
     return adjacency
 
 
-def heuristic_order(formula: Formula, heuristic: Heuristic) -> list[int]:
+def heuristic_order(formula: Formula, heuristic: Heuristic | str) -> list[int]:
     """Greedy elimination order on the primal graph: repeatedly eliminate the
     vertex of least cost (degree, or number of missing edges among its
-    neighbours), ties broken toward the smallest variable index.
+    neighbours), ties broken toward the smallest variable index. `heuristic`
+    is a `Heuristic` or its value; anything else raises ValueError.
 
-    Costs live in a dict and the minimum comes off a lazy heap of
-    (cost, var) entries; an entry whose cost is out of date is skipped.
-    Eliminating `chosen` with neighbours N removes `chosen` from them and
-    joins N into a clique. Only two kinds of vertex can see that: the members
-    of N, whose neighbourhoods changed, and, for min-fill, the common
-    neighbours of the two ends of each new edge, one of whose missing pairs
-    closed. Every other vertex keeps its neighbourhood and the edges among
-    it, so recomputing just those costs gives the same order as rescanning
-    every vertex at every step.
+    Costs live in a dict and the minimum comes off a lazy heap of (cost, var)
+    entries; an entry whose cost is out of date is skipped. `_cost` runs once
+    per vertex; each elimination then applies its exact changes, so orders
+    match a rescan of every vertex at every step. Eliminating `chosen` with
+    neighbours N drops it from each u in N, which loses one degree, or for
+    min-fill the |N(u) - N| pairs (chosen, w) it was missing. Then each fill
+    edge (a, b), with C = N(a) & N(b) before it, gives a and b one degree
+    each, or for min-fill |N(a)| - |C| and |N(b)| - |C| new missing pairs, and
+    closes one pair of each c in C. Each touched vertex goes back on the heap.
     """
+    heuristic = Heuristic(heuristic)
     if heuristic is Heuristic.LEXICOGRAPHIC:
         return list(formula.variables)
+    fill = heuristic is Heuristic.MIN_FILL
     adjacency = primal_graph(formula)
     costs = {v: _cost(adjacency, v, heuristic) for v in adjacency}
     heap = [(cost, v) for v, cost in costs.items()]
@@ -155,18 +159,24 @@ def heuristic_order(formula: Formula, heuristic: Heuristic) -> list[int]:
         touched = set(neighbors)
         for u in neighbors:
             adjacency[u].discard(chosen)
+            costs[u] -= len(adjacency[u] - neighbors) if fill else 1
         for u in neighbors:
             for v in neighbors - adjacency[u]:
                 if u < v:
+                    if fill:
+                        common = adjacency[u] & adjacency[v]
+                        touched |= common
+                        for c in common:
+                            costs[c] -= 1
+                        costs[u] += len(adjacency[u]) - len(common)
+                        costs[v] += len(adjacency[v]) - len(common)
+                    else:
+                        costs[u] += 1
+                        costs[v] += 1
                     adjacency[u].add(v)
                     adjacency[v].add(u)
-                    if heuristic is Heuristic.MIN_FILL:
-                        touched |= adjacency[u] & adjacency[v]
         for v in touched:
-            cost = _cost(adjacency, v, heuristic)
-            if cost != costs[v]:
-                costs[v] = cost
-                heapq.heappush(heap, (cost, v))
+            heapq.heappush(heap, (costs[v], v))
     return order
 
 
@@ -182,9 +192,10 @@ def _cost(adjacency: dict[int, set[int]], var: int, heuristic: Heuristic) -> int
 
 
 def plan(formula: Formula, order: Sequence[int]) -> ProjectJoinTree:
-    """Bucket elimination: one internal node per eliminated variable, plus a
-    final root that joins the leftover subtrees and carries the variables
-    that occur in no clause."""
+    """Bucket elimination over integer variables (floats raise TypeError): one
+    internal node per eliminated variable, plus a final root that joins the
+    leftover subtrees and carries the variables that occur in no clause."""
+    order = [operator.index(x) for x in order]
     if sorted(order) != list(formula.variables):
         raise ValueError("order is not a permutation of the formula variables")
 

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from xormpe import planner
@@ -142,6 +143,41 @@ def test_order_work_is_linear_on_a_path(heuristic, monkeypatch):
     assert calls <= 10 * n
 
 
+@pytest.mark.parametrize("heuristic", [Heuristic.MIN_DEGREE, Heuristic.MIN_FILL])
+def test_orders_match_reference_at_paper_scale(heuristic):
+    # widths 16-25 and many fill edges, so every per-step cost change is exercised
+    for seed in range(50):
+        formula = gen_random(60, 45, 6, 0.5, seed)[0]
+        assert heuristic_order(formula, heuristic) == reference_order(formula, heuristic)
+
+
+@pytest.mark.parametrize("heuristic", [Heuristic.MIN_DEGREE, Heuristic.MIN_FILL])
+def test_cost_is_computed_once_per_vertex(heuristic, monkeypatch):
+    # later costs come from each elimination's exact changes, not from _cost
+    formula, _ = gen_chain(ChainSpec(300, 20, 3))
+    calls = 0
+    cost = planner._cost
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cost(*args)
+
+    monkeypatch.setattr(planner, "_cost", counting)
+    heuristic_order(formula, heuristic)
+    assert calls == formula.var_count
+
+
+def test_heuristic_order_takes_a_heuristic_value():
+    formula = gen_random(12, 10, 4, 0.5, 3)[0]
+    assert heuristic_order(formula, "lex") == list(range(1, 13))
+    assert heuristic_order(formula, "min-degree") == \
+        heuristic_order(formula, Heuristic.MIN_DEGREE) != \
+        heuristic_order(formula, Heuristic.MIN_FILL)
+    with pytest.raises(ValueError):
+        heuristic_order(formula, "bogus")
+
+
 def test_plan_single_clause():
     formula = Formula(1, [disj(1)])
     tree = plan(formula, [1])
@@ -168,6 +204,15 @@ def test_plan_requires_permutation(mixed6):
         plan(mixed6, [1, 2, 3])
     with pytest.raises(ValueError):
         plan(mixed6, [1, 1, 2, 3, 4, 5])
+
+
+def test_plan_requires_integer_variables():
+    formula = Formula(3, [disj(1, 2), disj(2, 3)])
+    with pytest.raises(TypeError):
+        plan(formula, [3.0, 2, 1])
+    tree = plan(formula, np.array([3, 2, 1]))
+    assert tree.to_jt_text() == plan(formula, [3, 2, 1]).to_jt_text()
+    assert all(type(x) is int for node in tree.nodes for x in node.pi)
 
 
 def test_plan_empty_formula():
