@@ -111,8 +111,8 @@ def _emit_answer(maximum: float, literals: list[int]) -> None:
 
 class _LargestDiagram(executor.Observer):
     """Keeps the first largest diagram of a solve, for --dot: every leaf,
-    join and projection reaches `exit`, `child_joined` or `projected`, and
-    the root always reaches `exit`, so a diagram is always kept."""
+    join and projection reaches `exit`, `child_joined`, `projected` or
+    `fused`, and the root always reaches `exit`, so a diagram is always kept."""
 
     largest = None
     _size = 0
@@ -126,6 +126,9 @@ class _LargestDiagram(executor.Observer):
         self._keep(joined)
 
     def projected(self, node, var, previous, result) -> None:
+        self._keep(result)
+
+    def fused(self, node, var, h, previous, result) -> None:
         self._keep(result)
 
     def exit(self, node, f) -> None:

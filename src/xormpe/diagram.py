@@ -12,12 +12,17 @@ The manager has two value domains:
             unit is 0.0 and zero is -inf. Additive operations (pointwise sum)
             are unavailable in this domain.
 
-The join kernel is built once per manager. `_eliminate` projects a variable
-out with its literal weights: it rebuilds the nodes above the variable and
-walks its two cofactors as a pair below, emitting the max (`exists_project`)
-or the sum (`add_project`) of w_neg (x) lo and w_pos (x) hi, where (x) is
-`_weigh`, the join kernel's rule for two values, so no weighted product is
-built. The operation cache holds one join or elimination at a time, so no key
+`_eliminate` projects a variable x out with its literal weights, from one
+function f or from the product f h of two (the relational product, CUDD's
+`AndAbstract`): it rebuilds the pairs (u, v) of nodes above x and walks the
+two cofactor sides together below, each side a product of two nodes,
+emitting the max (`exists_project`) or the sum (`add_project`) of
+w_neg (x) f0 h0 and w_pos (x) f1 h1 at the terminals, where (x) is `_weigh`,
+the join kernel's rule for two values, so neither f h nor a weighted
+cofactor is built and the values are those of joining first, bit for bit.
+Where neither side is a product the walk takes one node per side.
+The kernels are built per operation and hold no reference to the manager,
+and the operation cache holds one join or elimination at a time, so no key
 carries a tag, variable or weight. `size` and `to_dot` share `_reachable`.
 
 A node's level is its variable's index, so every manager orders variables by
@@ -48,6 +53,40 @@ def _times(x: float, y: float) -> float:
         raise GuardError(f"linear-mode product {x!r} * {y!r} underflows double range; "
                          "use --mode log10, which keeps weight products representable")
     return product
+
+
+def _node_store(level: list, low: list, high: list, value: list,
+                unique: dict, terminals: dict):
+    """The manager's two node constructors over its arrays and tables:
+    `terminal(value)` and `mk(level, low, high)`, each returning the node of
+    that value or triple, new or not; mk applies the low == high reduction."""
+
+    def terminal(x: float) -> int:
+        node = terminals.get(x)
+        if node is None:
+            node = len(level)
+            level.append(_LEAF_LEVEL)
+            low.append(-1)
+            high.append(-1)
+            value.append(x)
+            terminals[x] = node
+        return node
+
+    def mk(var: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (var, lo, hi)
+        node = unique.get(key)
+        if node is None:
+            node = len(level)
+            level.append(var)
+            low.append(lo)
+            high.append(hi)
+            value.append(None)
+            unique[key] = node
+        return node
+
+    return terminal, mk
 
 
 class Function:
@@ -85,23 +124,34 @@ class Function:
 
 
 class DerivativeSign(NamedTuple):
-    """Which polarity of a variable maximizes a function times the
+    """Which polarity of a variable maximizes a function, times a second
+    factor when one was fused into the variable's projection, times the
     variable's weights (`w_neg`, `w_pos`, in the manager's value domain).
 
-    `choose` weighs the function's two completions at one co-assignment by the
-    join kernel's rules and picks 1 on a tie.
+    `choose` weighs the two completions at one co-assignment by the join
+    kernel's rules and picks 1 on a tie.
     """
 
     var: int
     function: Function
     w_neg: float
     w_pos: float
+    factor: Function | None = None
+
+    def weighed(self, assignment: Assignment) -> tuple[float, float]:
+        """The weighed product at var = 0 and at var = 1, in that order."""
+        weigh = self.function.manager._weigh
+        # a copy of the assignment per sign would make reconstruction quadratic
+        low_point = ChainMap({self.var: False}, assignment)
+        high_point = ChainMap({self.var: True}, assignment)
+        low, high = self.function.evaluate(low_point), self.function.evaluate(high_point)
+        if self.factor is not None:
+            low = weigh(low, self.factor.evaluate(low_point))
+            high = weigh(high, self.factor.evaluate(high_point))
+        return weigh(low, self.w_neg), weigh(high, self.w_pos)
 
     def choose(self, assignment: Assignment) -> bool:
-        f, weigh = self.function, self.function.manager._weigh
-        # a copy of the assignment per sign would make reconstruction quadratic
-        high = weigh(f.evaluate(ChainMap({self.var: True}, assignment)), self.w_pos)
-        low = weigh(f.evaluate(ChainMap({self.var: False}, assignment)), self.w_neg)
+        low, high = self.weighed(assignment)
         return high >= low
 
 
@@ -123,13 +173,17 @@ class DiagramManager:
 
         self._unique: dict[tuple[int, int, int], int] = {}
         self._terminals: dict[float, int] = {}
-        self._cache: dict = {}  # the operation in progress: (u, v), (a, b) or node
+        self._cache: dict = {}  # the operation in progress, keyed by node tuples
 
-        self._one = self._terminal(0.0 if log_mode else 1.0)
+        # plain functions of the arrays, not bound methods, and the kernels are
+        # built per operation: nothing the manager holds refers back to it, so
+        # its last reference frees it without waiting for a cycle collection
+        self._terminal, self._mk = _node_store(self._level, self._low, self._high,
+                                               self._value, self._unique, self._terminals)
+        self._one = self._terminal(0.0 if log_mode else 1.0)  # node 0, before any other
         self._zero = self._terminal(_NEG_INF if log_mode else 0.0)
 
-        times = operator.add if log_mode else _times
-        self._join = self._join_kernel(times)
+        self._times = times = operator.add if log_mode else _times
         one, zero = self._value[self._one], self._value[self._zero]
 
         def weigh(a: float, w: float) -> float:
@@ -145,31 +199,6 @@ class DiagramManager:
 
     def is_terminal(self, node: int) -> bool:
         return self._level[node] == _LEAF_LEVEL
-
-    def _terminal(self, value: float) -> int:
-        node = self._terminals.get(value)
-        if node is None:
-            node = len(self._level)
-            self._level.append(_LEAF_LEVEL)
-            self._low.append(-1)
-            self._high.append(-1)
-            self._value.append(value)
-            self._terminals[value] = node
-        return node
-
-    def _mk(self, level: int, low: int, high: int) -> int:
-        if low == high:
-            return low
-        key = (level, low, high)
-        node = self._unique.get(key)
-        if node is None:
-            node = len(self._level)
-            self._level.append(level)
-            self._low.append(low)
-            self._high.append(high)
-            self._value.append(None)
-            self._unique[key] = node
-        return node
 
     def _root(self, f: Function) -> int:
         if f.manager is not self:
@@ -225,12 +254,13 @@ class DiagramManager:
 
     # ------------------------------------------------------------ combinators
 
-    def _join_kernel(self, times):
-        """Pointwise product of two diagrams, as a recursive function of two
-        nodes: the unit passes the other operand through, a zero gives zero."""
+    def join(self, f: Function, g: Function) -> Function:
+        """Pointwise product (sum of logs in log10 mode); a linear product of
+        nonzero values that underflows raises GuardError."""
         level, low, high, value = self._level, self._low, self._high, self._value
-        cache, mk, terminal = self._cache, self._mk, self._terminal
+        cache, mk, terminal, times = self._cache, self._mk, self._terminal, self._times
         one, zero = self._one, self._zero
+        cache.clear()  # first, as a join cut short by GuardError leaves entries
 
         def rec(u: int, v: int) -> int:
             if u == one:
@@ -258,23 +288,33 @@ class DiagramManager:
             cache[key] = result
             return result
 
-        return rec
-
-    def join(self, f: Function, g: Function) -> Function:
-        """Pointwise product (sum of logs in log10 mode); a linear product of
-        nonzero values that underflows raises GuardError."""
-        self._cache.clear()  # first, as a join cut short by GuardError leaves entries
-        return Function(self, self._join(self._root(f), self._root(g)))
+        try:
+            return Function(self, rec(self._root(f), self._root(g)))
+        finally:
+            del rec  # rec calls itself through its cell: empty it, or the cycle outlives the join
 
     def _eliminate(self, f: Function, var: int, w_neg: float, w_pos: float,
-                   combine) -> Function:
-        """combine(w_neg (x) f|var=0, w_pos (x) f|var=1) pointwise in one pass
-        over f, which never builds a weighted copy of either cofactor."""
+                   combine, h: Function | None, signs: list | None) -> Function:
+        """combine(w_neg (x) (f h)|var=0, w_pos (x) (f h)|var=1) pointwise, h
+        the unit when None, in one pass over f and h that builds neither the
+        product f h nor a weighted cofactor. With `signs`, var's derivative
+        sign is appended first, from the same converted weights."""
         w0, w1 = self._weights(var, w_neg, w_pos)
+        root, other = self._root(f), self._one if h is None else self._root(h)
+        if signs is not None:
+            signs.append(DerivativeSign(var, f, w0, w1, h))
         level, low, high, value = self._level, self._low, self._high, self._value
         cache, mk, terminal, weigh = self._cache, self._mk, self._terminal, self._weigh
-        keep = combine is max and w0 == w1 == value[self._one]  # then max(a, a) is a
+        one, zero = self._one, self._zero
+        keep = combine is max and w0 == w1 == value[one]  # then max(a, a) is a
         cache.clear()
+
+        # Below var the walk follows the two cofactor sides together. `pair`
+        # takes one node per side. `quad` takes a product a b per side, its
+        # operands ordered by node id: the unit is node 0, so a product with
+        # it, the single node n, is (one, n), and one with a zero is (one,
+        # zero). quad's keys are 4-tuples; pair's (a, b) both sit below var
+        # and rec's (u, v) do not, so no two keys of the one cache meet.
 
         def pair(a: int, b: int) -> int:
             if keep and a == b:
@@ -296,41 +336,105 @@ class DiagramManager:
             cache[key] = result
             return result
 
-        def rec(node: int) -> int:
-            l = level[node]
-            if l > var:  # var is absent below here: both cofactors are node
-                return pair(node, node)
-            if l == var:
-                return pair(low[node], high[node])
-            result = cache.get(node)  # an int key cannot meet pair's tuples
-            if result is None:
-                result = mk(l, rec(low[node]), rec(high[node]))
-                cache[node] = result
+        def quad(a0: int, b0: int, a1: int, b1: int) -> int:
+            if a0 > b0:
+                a0, b0 = b0, a0
+            if a0 == zero or b0 == zero:
+                a0, b0 = one, zero
+            if a1 > b1:
+                a1, b1 = b1, a1
+            if a1 == zero or b1 == zero:
+                a1, b1 = one, zero
+            if a0 == one and a1 == one:  # neither side is a product
+                return pair(b0, b1)
+            key = (a0, b0, a1, b1)
+            result = cache.get(key)
+            if result is not None:
+                return result
+            la0, lb0, la1, lb1 = level[a0], level[b0], level[a1], level[b1]
+            top = la0
+            if lb0 < top:
+                top = lb0
+            if la1 < top:
+                top = la1
+            if lb1 < top:
+                top = lb1
+            if top == _LEAF_LEVEL:
+                result = terminal(combine(weigh(weigh(value[a0], value[b0]), w0),
+                                          weigh(weigh(value[a1], value[b1]), w1)))
+            else:
+                if la0 == top:
+                    a00, a01 = low[a0], high[a0]
+                else:
+                    a00 = a01 = a0
+                if lb0 == top:
+                    b00, b01 = low[b0], high[b0]
+                else:
+                    b00 = b01 = b0
+                if la1 == top:
+                    a10, a11 = low[a1], high[a1]
+                else:
+                    a10 = a11 = a1
+                if lb1 == top:
+                    b10, b11 = low[b1], high[b1]
+                else:
+                    b10 = b11 = b1
+                result = mk(top, quad(a00, b00, a10, b10), quad(a01, b01, a11, b11))
+            cache[key] = result
             return result
 
-        return Function(self, rec(self._root(f)))
+        def rec(u: int, v: int) -> int:
+            if u > v:  # the product commutes
+                u, v = v, u
+            if u == zero or v == zero:
+                return zero
+            lu, lv = level[u], level[v]
+            top = lu if lu < lv else lv
+            if top > var:  # var is absent below here: both sides are u v
+                return quad(u, v, u, v)
+            if top == var:
+                return quad(low[u] if lu == var else u, low[v] if lv == var else v,
+                            high[u] if lu == var else u, high[v] if lv == var else v)
+            key = (u, v)
+            result = cache.get(key)
+            if result is None:
+                result = mk(top, rec(low[u] if lu == top else u, low[v] if lv == top else v),
+                            rec(high[u] if lu == top else u, high[v] if lv == top else v))
+                cache[key] = result
+            return result
 
-    def exists_project(self, f: Function, var: int,
-                       w_neg: float = 1.0, w_pos: float = 1.0) -> Function:
-        """Pointwise max of the two cofactors, each times var's linear-domain
-        weight for that polarity; removes var from the support. A var that f
-        does not depend on, whatever its index, gives max(w_neg, w_pos) (x) f."""
-        return self._eliminate(f, var, w_neg, w_pos, max)
+        try:
+            return Function(self, rec(root, other))
+        finally:
+            del pair, quad, rec  # each calls itself through its cell, as in join
 
-    def add_project(self, f: Function, var: int,
-                    w_neg: float = 1.0, w_pos: float = 1.0) -> Function:
+    def exists_project(self, f: Function, var: int, w_neg: float = 1.0,
+                       w_pos: float = 1.0, h: Function | None = None,
+                       signs: list | None = None) -> Function:
+        """Pointwise max of the two cofactors of f, or of f h when h is given,
+        each times var's linear-domain weight for that polarity; removes var
+        from the support. A var that neither depends on, whatever its index,
+        gives max(w_neg, w_pos) (x) f h. `signs`, a list, receives var's
+        derivative sign (`derivative_sign(f, var, w_neg, w_pos, h)`)."""
+        return self._eliminate(f, var, w_neg, w_pos, max, h, signs)
+
+    def add_project(self, f: Function, var: int, w_neg: float = 1.0,
+                    w_pos: float = 1.0, h: Function | None = None,
+                    signs: list | None = None) -> Function:
         """Pointwise sum of the two weighted cofactors; linear domain only."""
         if self.log_mode:
             raise ValueError("additive operations are unavailable in log10 mode")
-        return self._eliminate(f, var, w_neg, w_pos, operator.add)
+        return self._eliminate(f, var, w_neg, w_pos, operator.add, h, signs)
 
-    def derivative_sign(self, f: Function, var: int,
-                        w_neg: float = 1.0, w_pos: float = 1.0) -> DerivativeSign:
-        """Record where assigning var 1 beats assigning it 0 in f times var's
-        linear-domain weights. A tie counts as a win for the 1 branch so
-        maximizers are reproducible."""
+    def derivative_sign(self, f: Function, var: int, w_neg: float = 1.0,
+                        w_pos: float = 1.0, h: Function | None = None) -> DerivativeSign:
+        """Record where assigning var 1 beats assigning it 0 in f (times h
+        when given) times var's linear-domain weights. A tie counts as a win
+        for the 1 branch so maximizers are reproducible."""
         self._root(f)  # a function of another manager raises ValueError
-        return DerivativeSign(var, f, *self._weights(var, w_neg, w_pos))
+        if h is not None:
+            self._root(h)
+        return DerivativeSign(var, f, *self._weights(var, w_neg, w_pos), h)
 
     # ------------------------------------------------------------- inspection
 

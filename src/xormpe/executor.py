@@ -2,12 +2,15 @@
 
 A solve walks a project-join tree bottom-up. Each leaf turns into the clause's
 indicator diagram; each internal node joins its children's results and then,
-variable by variable (ascending index), records the derivative sign of the
-partial product under the variable's literal weights and projects the variable
-out with those weights in one pass, so the weighted product is never built.
-The root's valuation is a constant holding the maximum; the recorded signs are
-popped in reverse to rebuild a maximizing assignment. The sign carries the
-weights: it has to cover every remaining factor that depends on the variable,
+variable by variable (ascending index), projects the variable out under its
+literal weights in one pass, so the weighted product is never built. A node
+that projects anything joins all its children but the last, which is fused
+into its first projection: that pass walks both operands, so the product with
+the last child is never built either. Each projection records the variable's
+derivative sign from the factors it eliminates from. The root's valuation is a
+constant holding the maximum; the recorded signs are popped in reverse to
+rebuild a maximizing assignment. The sign carries the weights and the fused
+factor: it has to cover every remaining factor that depends on the variable,
 or unconstrained variables would tie and lose their weight preference.
 
 `verify_checkpoints` reruns a solve with an observer that maintains the
@@ -80,11 +83,18 @@ class Observer:
         """The child's valuation h was joined into previous."""
 
     def sign_pushed(self, node: int, var: int, sign: DerivativeSign) -> None:
-        """var's sign, its weights included, was recorded before var is projected."""
+        """var's sign, its weights and fused factor included, was recorded;
+        the event of var's projection comes next."""
 
     def projected(self, node: int, var: int, previous: Function,
                   result: Function) -> None:
         """var was projected out of previous under var's literal weights."""
+
+    def fused(self, node: int, var: int, h: Function, previous: Function,
+              result: Function) -> None:
+        """The child's valuation h was joined into previous and var projected
+        out of the product under var's literal weights, in one pass that
+        never built the product."""
 
     def exit(self, node: int, f: Function) -> None:
         """f is the node's valuation."""
@@ -123,9 +133,10 @@ def valuate(
 ) -> Function:
     """Valuation of the tree's root, children before parents in one pass
     over the tree. Derivative signs are pushed onto `stack`, one per
-    projected variable, before each projection. `project` eliminates one
-    variable under its linear-domain weights: `manager.exists_project` by
-    default, `manager.add_project` to count. `observer` receives every step.
+    projected variable, by the projections. `project(f, var, w_neg, w_pos,
+    h, signs)` eliminates one variable from f, or from f h, under its
+    linear-domain weights: `manager.exists_project` by default,
+    `manager.add_project` to count. `observer` receives every step.
 
     The same pass checks the two facts of a valid tree that a wrong answer
     would hide: it must meet every clause's leaf and project every formula
@@ -149,8 +160,11 @@ def valuate(
             # every function met here depends only on vars and pi, which are disjoint
             _allow_recursion(len(pjt_node.vars) + len(pjt_node.pi))
             # only a clause-free formula has a childless node: its root
-            f = values.pop(pjt_node.children[0]) if pjt_node.children else manager.one()
-            for child in pjt_node.children[1:]:
+            children = pjt_node.children
+            f = values.pop(children[0]) if children else manager.one()
+            # the last child is fused into the first projection, if any
+            fused = values.pop(children[-1]) if len(children) > 1 and pjt_node.pi else None
+            for child in children[1:-1] if fused is not None else children[1:]:
                 h = values.pop(child)
                 previous, f = f, manager.join(f, h)
                 observer.child_joined(node_id, h, previous, f)
@@ -159,14 +173,15 @@ def valuate(
                     raise ValueError(f"tree projects variable {x} twice or outside "
                                      f"1..{formula.var_count}")
                 projected.add(x)
-                w_neg, w_pos = weights.pair(x)
+                # the sign covers every remaining factor depending on x: f, h and x's weights
+                h, fused = fused, None
+                previous, f = f, project(f, x, *weights.pair(x), h, stack)
                 if stack is not None:
-                    # the sign covers every remaining factor depending on x: f and x's weights
-                    sign = manager.derivative_sign(f, x, w_neg, w_pos)
-                    stack.append(sign)
-                    observer.sign_pushed(node_id, x, sign)
-                previous, f = f, project(f, x, w_neg, w_pos)
-                observer.projected(node_id, x, previous, f)
+                    observer.sign_pushed(node_id, x, stack[-1])
+                if h is None:
+                    observer.projected(node_id, x, previous, f)
+                else:
+                    observer.fused(node_id, x, h, previous, f)
         observer.exit(node_id, f)
         values[node_id] = f
     for what, met, items in (("clause", clauses, range(len(formula.clauses))),
@@ -271,7 +286,8 @@ class _Verifier(Observer):
     active functions (by node id), `expected` the oracle's dense enumeration
     of the weighted formula maximized over the variables projected so far,
     one axis per projection (a max is exact, so the order is free). The state
-    is checked once after setup, each join and each projection."""
+    is checked once after setup, each join and each projection; a fused join
+    and projection is one change of state, so it is checked once."""
 
     def __init__(self, formula: Formula, weights: WeightFunction):
         super().__init__()
@@ -362,7 +378,10 @@ class _Verifier(Observer):
         overall = c_after.max()
         maximizers = c_after == overall
         # hi and lo: every point with var (bit var-1 of the index) set to 1, 0
-        f = self._grid(sign.function.node) * np.where(self.bits[var], sign.w_pos, sign.w_neg)
+        f = self._grid(sign.function.node)
+        if sign.factor is not None:
+            f = f * self._grid(sign.factor.node)
+        f = f * np.where(self.bits[var], sign.w_pos, sign.w_neg)
         index = np.arange(self.size)
         hi, lo = index | (1 << (var - 1)), index & ~(1 << (var - 1))
         chosen = np.where(f[hi] >= f[lo], c_before[hi], c_before[lo])
@@ -379,6 +398,11 @@ class _Verifier(Observer):
         self._insert(result)
         self.expected = self._reduce_max(self.expected, var)
         self._check_active("project-condition", node, variable=var)
+
+    def fused(self, node: int, var: int, h: Function, previous: Function,
+              result: Function) -> None:
+        self._remove(h)
+        self.projected(node, var, previous, result)
 
     def after_valuate(self, maximum: float) -> None:
         overall = self.master.max()

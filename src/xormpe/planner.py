@@ -116,11 +116,11 @@ class ProjectJoinTree:
 def primal_graph(formula: Formula) -> dict[int, set[int]]:
     adjacency: dict[int, set[int]] = {v: set() for v in formula.variables}
     for clause in formula.clauses:
-        variables = sorted(clause.variables)
-        for i, u in enumerate(variables):
-            for v in variables[i + 1:]:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
+        variables = clause.variables
+        for u in variables:
+            adjacency[u] |= variables
+    for u, neighbors in adjacency.items():
+        neighbors.discard(u)
     return adjacency
 
 

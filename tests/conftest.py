@@ -1,4 +1,3 @@
-from collections import ChainMap
 from contextlib import contextmanager
 from functools import cache, partial
 
@@ -156,9 +155,7 @@ class _TieToLowSign(DerivativeSign):
     """A derivative sign that prefers 0 on ties (> in place of >=)."""
 
     def choose(self, assignment):
-        f, weigh = self.function, self.function.manager._weigh
-        high = weigh(f.evaluate(ChainMap({self.var: True}, assignment)), self.w_pos)
-        low = weigh(f.evaluate(ChainMap({self.var: False}, assignment)), self.w_neg)
+        low, high = self.weighed(assignment)
         return high > low
 
 
@@ -172,10 +169,17 @@ class FaultyManager(DiagramManager):
       what a sign taken after the projection would be;
     * tie_break_low: signs prefer 0 on ties (> in place of >=);
     * second_join_left: the second join returns its left operand, as if that
-      child were never joined in.
+      child were never joined in;
+    * drop_fused_operand: every fused projection runs without its second
+      operand, as if that child were never joined in.
+
+    Only the projection's own work is faulted: the sign a projection appends
+    comes from `derivative_sign` with the true weights and operands, so only
+    the sign faults reach it.
     """
 
-    KINDS = ("skip_weight_join", "push_after_project", "tie_break_low", "second_join_left")
+    KINDS = ("skip_weight_join", "push_after_project", "tie_break_low", "second_join_left",
+             "drop_fused_operand")
 
     def __init__(self, log_mode=False, *, fault):
         if fault not in self.KINDS:
@@ -185,11 +189,15 @@ class FaultyManager(DiagramManager):
         self._skip_armed = fault == "skip_weight_join"
         self._joins = 0
 
-    def _drop_first_weights(self, w_neg, w_pos):
+    def _faulty(self, project, f, var, w_neg, w_pos, h, signs):
+        if signs is not None:
+            signs.append(self.derivative_sign(f, var, w_neg, w_pos, h))
         if self._skip_armed:
             self._skip_armed = False
-            return 1.0, 1.0
-        return w_neg, w_pos
+            w_neg, w_pos = 1.0, 1.0
+        if self.fault == "drop_fused_operand":
+            h = None
+        return project(f, var, w_neg, w_pos, h)
 
     def join(self, f, g):
         self._joins += 1
@@ -197,18 +205,18 @@ class FaultyManager(DiagramManager):
             return f
         return super().join(f, g)
 
-    def exists_project(self, f, var, w_neg=1.0, w_pos=1.0):
-        return super().exists_project(f, var, *self._drop_first_weights(w_neg, w_pos))
+    def exists_project(self, f, var, w_neg=1.0, w_pos=1.0, h=None, signs=None):
+        return self._faulty(super().exists_project, f, var, w_neg, w_pos, h, signs)
 
-    def add_project(self, f, var, w_neg=1.0, w_pos=1.0):
-        return super().add_project(f, var, *self._drop_first_weights(w_neg, w_pos))
+    def add_project(self, f, var, w_neg=1.0, w_pos=1.0, h=None, signs=None):
+        return self._faulty(super().add_project, f, var, w_neg, w_pos, h, signs)
 
-    def derivative_sign(self, f, var, w_neg=1.0, w_pos=1.0):
+    def derivative_sign(self, f, var, w_neg=1.0, w_pos=1.0, h=None):
         if self.fault == "push_after_project":
             return super().derivative_sign(self.one(), var)
-        sign = super().derivative_sign(f, var, w_neg, w_pos)
+        sign = super().derivative_sign(f, var, w_neg, w_pos, h)
         if self.fault == "tie_break_low":
-            return _TieToLowSign(var, f, sign.w_neg, sign.w_pos)
+            return _TieToLowSign(*sign)
         return sign
 
 

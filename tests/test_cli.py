@@ -123,7 +123,7 @@ def test_solve_verify_respects_limit(capsys, tmp_path):
 
 
 class _Sizes(Observer):
-    """The size of every diagram seen at exit, child_joined and projected."""
+    """The size of every diagram seen at exit, child_joined, projected and fused."""
 
     def __init__(self):
         super().__init__()
@@ -136,6 +136,9 @@ class _Sizes(Observer):
         self.sizes.append(self.manager.size(joined))
 
     def projected(self, node, var, previous, result):
+        self.sizes.append(self.manager.size(result))
+
+    def fused(self, node, var, h, previous, result):
         self.sizes.append(self.manager.size(result))
 
 

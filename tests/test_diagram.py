@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import re
+import weakref
 
 import pytest
 
@@ -355,8 +357,9 @@ def test_weighted_projection_keeps_the_underflow_guard():
 
 
 def test_no_op_cache_entry_crosses_operations():
-    # a join's keys and a projection's pair keys share one shape, so an entry
-    # left by one operation would be read by the next
+    # a join's keys, a projection's pair keys and a fused projection's keys
+    # above its variable share one shape, so an entry left by one operation
+    # would be read by the next
     def setup(low, high):
         """a, b over x2, and f, whose cofactors on x1 are a (x1=0) and b."""
         mgr = DiagramManager()
@@ -369,26 +372,180 @@ def test_no_op_cache_entry_crosses_operations():
         return [f.evaluate(a) for a in assignments({1, 2})]
 
     def fresh(operation, low, high):
-        mgr, _, _, f = setup(low, high)
-        return values(operation(mgr, f))
+        mgr, a, _, f = setup(low, high)
+        return values(operation(mgr, a, f))
 
-    def maximum(mgr, f):
+    def maximum(mgr, a, f):
         return mgr.exists_project(f, 1)
 
-    def total(mgr, f):
+    def total(mgr, a, f):
         return mgr.add_project(f, 1, 3.0, 0.25)
+
+    def fused_below(mgr, a, f):
+        """f a with x2 projected: f's top x1 is above x2, so rebuilt pairwise."""
+        return mgr.exists_project(f, 2, 0.5, 4.0, a)
+
+    def fused_at(mgr, a, f):
+        return mgr.add_project(f, 1, 3.0, 0.25, a)
 
     mgr, a, b, f = setup((2.0, 3.0), (5.0, 7.0))
     mgr.join(a, b)
-    assert values(maximum(mgr, f)) == fresh(maximum, (2.0, 3.0), (5.0, 7.0))
+    assert values(maximum(mgr, a, f)) == fresh(maximum, (2.0, 3.0), (5.0, 7.0))
     mgr.exists_project(f, 1, 0.5, 4.0)
-    assert values(total(mgr, f)) == fresh(total, (2.0, 3.0), (5.0, 7.0))
+    assert values(total(mgr, a, f)) == fresh(total, (2.0, 3.0), (5.0, 7.0))
+    mgr.join(f, a)  # its key (a, f) is the fused walk's first key above x2
+    assert values(fused_below(mgr, a, f)) == fresh(fused_below, (2.0, 3.0), (5.0, 7.0))
+    assert values(fused_at(mgr, a, f)) == fresh(fused_at, (2.0, 3.0), (5.0, 7.0))
+    assert values(maximum(mgr, a, f)) == fresh(maximum, (2.0, 3.0), (5.0, 7.0))
 
     # the join caches 3 * 5 on its low branch, then underflows on its high one
     mgr, a, b, f = setup((3.0, 1e-200), (5.0, 1e-200))
     with pytest.raises(GuardError):
         mgr.join(a, b)
-    assert values(maximum(mgr, f)) == fresh(maximum, (3.0, 1e-200), (5.0, 1e-200))
+    assert values(maximum(mgr, a, f)) == fresh(maximum, (3.0, 1e-200), (5.0, 1e-200))
+    # so does a fused projection of x1 from f b
+    with pytest.raises(GuardError):
+        mgr.exists_project(f, 1, 1.0, 1.0, b)
+    assert values(maximum(mgr, a, f)) == fresh(maximum, (3.0, 1e-200), (5.0, 1e-200))
+
+
+# ------------------------------------------------------- fused join-and-project
+
+def position(f, x):
+    """Where x sits in f's order: at its top, below it in its support,
+    absent between or below its variables, or above its top (or f is constant)."""
+    variables = support(f)
+    if x in variables:
+        return "at" if x == min(variables) else "below"
+    return "absent" if variables and x > min(variables) else "above"
+
+
+def test_fused_projection_matches_join_then_project(any_mgr):
+    # projecting x from f g with g as the second operand gives the node that
+    # joining first and then projecting gives, so the same values bit for
+    # bit, for every place x can take in either operand; the sign a fused
+    # projection appends chooses as a sign on the product does
+    mgr = any_mgr
+    projections = [mgr.exists_project] + ([] if mgr.log_mode else [mgr.add_project])
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(120):
+        f = random_nonneg_function(mgr, rng, rng.sample(range(1, 7), rng.randint(1, 4)))
+        g = random_nonneg_function(mgr, rng, rng.sample(range(1, 7), rng.randint(1, 4)))
+        x = rng.randint(1, 7)
+        case = (position(f, x), position(g, x))
+        seen.add(case)
+        product = mgr.join(f, g)
+        for w_neg, w_pos in WEIGHT_PAIRS:
+            for project in projections:
+                signs = []
+                fused = project(f, x, w_neg, w_pos, g, signs)
+                assert fused == project(product, x, w_neg, w_pos), case
+                assert project(g, x, w_neg, w_pos, f) == fused
+                assert signs == [mgr.derivative_sign(f, x, w_neg, w_pos, g)]
+            sign = mgr.derivative_sign(f, x, w_neg, w_pos, g)
+            joined = mgr.derivative_sign(product, x, w_neg, w_pos)
+            for a in assignments((support(f) | support(g)) - {x}):
+                assert sign.weighed(a) == joined.weighed(a)
+                assert sign.choose(a) == joined.choose(a)
+    assert len(seen) == 16
+
+
+def test_fused_projection_with_a_constant_operand(any_mgr):
+    # the unit and the zero fold away; a linear inf multiplies the other
+    # operand by the join's rule, a zero times inf being zero, never NaN
+    mgr = any_mgr
+    projections = [mgr.exists_project] + ([] if mgr.log_mode else [mgr.add_project])
+    constants = [mgr.one(), mgr.zero()] + ([] if mgr.log_mode else [mgr.constant(math.inf)])
+    rng = random.Random(41)
+    for _ in range(10):
+        variables = rng.sample(range(1, 5), rng.randint(1, 3))
+        f = random_nonneg_function(mgr, rng, variables)
+        for c in constants:
+            product = mgr.join(f, c)
+            for x in (1, 2, 5):
+                for w_neg, w_pos in WEIGHT_PAIRS:
+                    for project in projections:
+                        expected = project(product, x, w_neg, w_pos)
+                        assert project(f, x, w_neg, w_pos, c) == expected
+                        assert project(c, x, w_neg, w_pos, f) == expected
+                        assert not any(math.isnan(expected.evaluate(a))
+                                       for a in assignments(variables))
+    assert mgr.exists_project(mgr.one(), 1, 2.0, 3.0, mgr.one()) == \
+        mgr.exists_project(mgr.one(), 1, 2.0, 3.0)
+    assert mgr.exists_project(mgr.literal_weight(2, 2.0, 3.0), 1, 2.0, 3.0, mgr.zero()) == \
+        mgr.zero()
+
+
+def test_fused_projection_keeps_the_underflow_guard():
+    # both factors are 1e-200 where x2 and x3 are 0: their product underflows
+    # inside the fused walk, as it does inside the join
+    mgr = DiagramManager()
+    f, g = mgr.literal_weight(2, 1e-200, 1.0), mgr.literal_weight(3, 1e-200, 1.0)
+    for var in (1, 2, 3):
+        for project in (mgr.exists_project, mgr.add_project):
+            with pytest.raises(GuardError, match="--mode log10"):
+                project(f, var, 1.0, 1.0, g)
+    with pytest.raises(GuardError, match="--mode log10"):
+        mgr.join(f, g)
+    # and a weight that takes the product out of range, as the unfused projection does
+    h = mgr.literal_weight(3, 1e-150, 1.0)
+    with pytest.raises(GuardError, match="--mode log10"):
+        mgr.exists_project(f, 2, 1e-10, 1.0, h)
+    with pytest.raises(GuardError, match="--mode log10"):
+        mgr.exists_project(mgr.join(f, h), 2, 1e-10, 1.0)
+
+
+def test_fused_projection_builds_no_product():
+    # every node a fused projection allocates is in its result; joining first
+    # allocates the product, which the projection then drops
+    rng = random.Random(47)
+    for _ in range(10):
+        grown = {}
+        seed = rng.random()
+        for path in ("fused", "joined"):
+            mgr = DiagramManager()
+            local = random.Random(seed)
+            f = random_nonneg_function(mgr, local, [1, 2, 3, 4])
+            g = random_nonneg_function(mgr, local, [1, 3, 5])
+            before = mgr.node_count()
+            if path == "fused":
+                result = mgr.exists_project(f, 1, 10, 100, g)
+            else:
+                result = mgr.exists_project(mgr.join(f, g), 1, 10, 100)
+            grown[path] = mgr.node_count() - before - mgr.size(result)
+        assert grown["fused"] <= 0 < grown["joined"]
+
+
+def test_fused_projection_requires_same_manager(mgr):
+    other = DiagramManager()
+    f = mgr.literal_weight(1, 2.0, 3.0)
+    with pytest.raises(ValueError):
+        mgr.exists_project(f, 1, 1.0, 1.0, other.literal_weight(1, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        mgr.derivative_sign(f, 1, 1.0, 1.0, other.one())
+
+
+def test_a_finished_manager_is_freed_without_the_cycle_collector():
+    # nothing a manager holds refers back to it and no kernel outlives its
+    # operation, so dropping the last reference frees the manager and its
+    # node arrays at once, also after an operation cut short by GuardError
+    gc.collect()
+    gc.disable()
+    try:
+        mgr = DiagramManager()
+        f, g = mgr.literal_weight(1, 2.0, 3.0), mgr.from_clause(xor(1, 2))
+        mgr.add_project(mgr.join(f, g), 2, 1.0, 4.0, f)
+        try:
+            mgr.exists_project(mgr.constant(1e-200), 1, 1.0, 1.0, mgr.constant(1e-200))
+        except GuardError:
+            pass
+        manager = weakref.ref(mgr)
+        del mgr, f, g
+        assert manager() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------ derivative sign

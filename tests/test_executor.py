@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -316,8 +318,9 @@ def test_solve_computes_width_once(mixed6, unit_weights, mixed6_tree, monkeypatc
 def test_solve_joins_once_per_later_child_and_projected_variable(
         mixed6, unit_weights, mixed6_tree, monkeypatch):
     # each internal node starts from its first child and joins the others,
-    # 0 + 0 + 2 + 1 + 1; each of the six variables is projected once, its
-    # weights taken in by the projection, never by a join
+    # but a node that projects fuses its last child into its first
+    # projection: 0 + 0 + 1 + 0 + 1; each of the six variables is projected
+    # once, its weights taken in by the projection, never by a join
     calls = {"join": 0, "exists_project": 0}
     for name in calls:
         def counting(manager, *args, _name=name, _method=getattr(DiagramManager, name)):
@@ -326,7 +329,7 @@ def test_solve_joins_once_per_later_child_and_projected_variable(
 
         monkeypatch.setattr(DiagramManager, name, counting)
     solve(mixed6, unit_weights, mixed6_tree)
-    assert calls == {"join": 4, "exists_project": 6}
+    assert calls == {"join": 2, "exists_project": 6}
 
 
 def test_peak_nodes_counts_allocated_nodes(mixed6, unit_weights, mixed6_tree):
@@ -346,13 +349,58 @@ def test_op_cache_holds_one_operation():
         def watch(self, *args):
             self.most = max(self.most, len(self.manager._cache))
 
-        child_joined = projected = exit = watch
+        child_joined = projected = fused = exit = watch
 
     formula, weights = gen_chain(ChainSpec(20000, 2, 1))
     watcher = CacheWatcher()
     solve(formula, weights, plan(formula, list(formula.variables)), mode="log10",
           observer=watcher)
     assert watcher.most <= 8
+
+
+@pytest.mark.parametrize("mode", ["linear", "log10"])
+def test_weights_are_converted_once_per_projected_variable(
+        mixed6, mixed6_tree, mode, monkeypatch):
+    # the sign is built from the pair the projection converts, so a solve
+    # takes each variable's weights into the value domain once (two log10
+    # calls in log10 mode), and so does a count
+    calls = []
+    convert = DiagramManager._weights
+
+    def counting(manager, var, w_neg, w_pos):
+        calls.append(var)
+        return convert(manager, var, w_neg, w_pos)
+
+    monkeypatch.setattr(DiagramManager, "_weights", counting)
+    weights = WeightFunction({v: (0.25, 2.0) for v in mixed6.variables})
+    solve(mixed6, weights, mixed6_tree, mode=mode)
+    assert sorted(calls) == list(mixed6.variables)
+    if mode == "linear":
+        calls.clear()
+        count(mixed6, weights, mixed6_tree)
+        assert sorted(calls) == list(mixed6.variables)
+
+
+def test_a_finished_solve_frees_its_manager_without_the_cycle_collector():
+    class Watch(Observer):
+        def setup(self, manager):
+            self.manager = weakref.ref(manager)
+
+    formula, weights = gen_chain(ChainSpec(2000, 2, 1))
+    tree = plan(formula, list(formula.variables))
+    gc.collect()
+    gc.disable()
+    try:
+        watch = Watch()
+        solve(formula, weights, tree, mode="log10", observer=watch)
+        assert watch.manager() is None
+        manager = DiagramManager(log_mode=True)
+        root = valuate(manager, formula, tree, weights)
+        freed = weakref.ref(manager)
+        del manager, root
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------- checkpoints
@@ -367,7 +415,8 @@ def test_verify_passes_on_small_instances(mixed6, unit_weights, mixed6_tree):
 
 
 def test_verify_checks_each_state_once(mixed6, unit_weights, mixed6_tree, monkeypatch):
-    # once after setup, once per join (4) and once per projection (6)
+    # once after setup, once per join (2) and once per projection (6), a
+    # fused join and projection (at n8 and n9) counting as one projection
     calls = 0
     check = executor._Verifier._check_active
 
@@ -378,7 +427,7 @@ def test_verify_checks_each_state_once(mixed6, unit_weights, mixed6_tree, monkey
 
     monkeypatch.setattr(executor._Verifier, "_check_active", counting)
     assert verify_checkpoints(mixed6, unit_weights, mixed6_tree) is None
-    assert calls == 11
+    assert calls == 9
 
 
 def test_verify_guard():
@@ -396,13 +445,29 @@ def test_fault_skip_weight_caught_at_project_condition():
     assert failure.checkpoint == "project-condition"
 
 
-def test_fault_second_join_caught_at_its_node(mixed6, unit_weights, mixed6_tree):
-    # the first two joins are at the node over n6, n7 and leaf 2 (clause x1)
-    [node] = [i for i, n in enumerate(mixed6_tree.nodes) if len(n.children) == 3]
+def test_fault_second_join_caught_at_its_node(mixed6, mixed6_tree):
+    # leaf 2 is fused into n8's projection of x1, so the second join is the
+    # root's, of n9's valuation: max over x3, x5 of xor(3, 5), not both, and
+    # their weights, the constant 2 * 0.25, which the fault leaves out
+    weights = WeightFunction({v: (0.25, 2.0) for v in mixed6.variables})
     with injected_fault("second_join_left"):
-        failure = verify_checkpoints(mixed6, unit_weights, mixed6_tree)
+        failure = verify_checkpoints(mixed6, weights, mixed6_tree)
     assert failure is not None
-    assert (failure.checkpoint, failure.node) == ("join-condition", node)
+    assert (failure.checkpoint, failure.node) == ("join-condition", mixed6_tree.root)
+
+
+def test_fault_drop_fused_operand_caught_at_project_condition():
+    # the root joins nothing and fuses clause -1 into its projection of x1:
+    # without it, max over x1 of (x1 or x2) is 1, not x2
+    formula = Formula(2, [disj(1, 2), disj(-1)])
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([0, 1], [1, 2])
+    assert verify_checkpoints(formula, WeightFunction(), tree) is None
+    with injected_fault("drop_fused_operand"):
+        failure = verify_checkpoints(formula, WeightFunction(), tree)
+    assert failure is not None
+    assert (failure.checkpoint, failure.node, failure.variable) == \
+        ("project-condition", tree.root, 1)
 
 
 def test_fault_push_after_project_caught():
@@ -486,7 +551,7 @@ def test_wide_shallow_tree_solves():
 
 def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
     # a narrow solve that runs while a wide one is under way, here in another
-    # thread before the wide root's first deep projection, must
+    # thread between the wide root's first and second deep projections, must
     # not take away the recursion depth the wide solve needs
     wide, wide_tree = wide_clause_instance(1500)
     narrow, narrow_weights = gen_chain(ChainSpec(40, 2, 3))
