@@ -111,8 +111,8 @@ def _emit_answer(maximum: float, literals: list[int]) -> None:
 
 class _LargestDiagram(executor.Observer):
     """Keeps the first largest diagram of a solve, for --dot: every leaf,
-    join and projection reaches `exit`, `child_joined`, `projected` or
-    `fused`, and the root always reaches `exit`, so a diagram is always kept."""
+    join and projection reaches `exit`, `child_joined` or `projected`, and
+    the root always reaches `exit`, so a diagram is always kept."""
 
     largest = None
     _size = 0
@@ -125,10 +125,7 @@ class _LargestDiagram(executor.Observer):
     def child_joined(self, node, h, previous, joined) -> None:
         self._keep(joined)
 
-    def projected(self, node, var, previous, result) -> None:
-        self._keep(result)
-
-    def fused(self, node, var, h, previous, result) -> None:
+    def projected(self, node, var, h, previous, result, sign) -> None:
         self._keep(result)
 
     def exit(self, node, f) -> None:

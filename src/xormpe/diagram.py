@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import ChainMap
 from typing import NamedTuple
 
 from .errors import GuardError
@@ -138,19 +137,28 @@ class DerivativeSign(NamedTuple):
     w_pos: float
     factor: Function | None = None
 
-    def weighed(self, assignment: Assignment) -> tuple[float, float]:
-        """The weighed product at var = 0 and at var = 1, in that order."""
-        weigh = self.function.manager._weigh
-        # a copy of the assignment per sign would make reconstruction quadratic
-        low_point = ChainMap({self.var: False}, assignment)
-        high_point = ChainMap({self.var: True}, assignment)
-        low, high = self.function.evaluate(low_point), self.function.evaluate(high_point)
-        if self.factor is not None:
-            low = weigh(low, self.factor.evaluate(low_point))
-            high = weigh(high, self.factor.evaluate(high_point))
-        return weigh(low, self.w_neg), weigh(high, self.w_pos)
+    def weighed(self, assignment: dict[int, bool]) -> tuple[float, float]:
+        """The weighed product at var = 0 and at var = 1, in that order. var
+        is bound in `assignment` itself for the two evaluations (a copy per
+        sign would make reconstruction quadratic); the dict is left as given."""
+        weigh, var = self.function.manager._weigh, self.var
+        bound, old = var in assignment, assignment.get(var)
+        points = []
+        try:
+            for value in (False, True):
+                assignment[var] = value
+                point = self.function.evaluate(assignment)
+                if self.factor is not None:
+                    point = weigh(point, self.factor.evaluate(assignment))
+                points.append(point)
+        finally:
+            if bound:
+                assignment[var] = old
+            else:
+                del assignment[var]
+        return weigh(points[0], self.w_neg), weigh(points[1], self.w_pos)
 
-    def choose(self, assignment: Assignment) -> bool:
+    def choose(self, assignment: dict[int, bool]) -> bool:
         low, high = self.weighed(assignment)
         return high >= low
 
@@ -223,8 +231,8 @@ class DiagramManager:
         """var's linear-domain weights in the manager's value domain."""
         if var < 1:
             raise ValueError(f"variable index {var} is not positive")
-        if w_neg < 0 or w_pos < 0:
-            raise ValueError(f"negative weight for variable {var}")
+        if not (w_neg >= 0 and w_pos >= 0):  # NaN fails both comparisons
+            raise ValueError(f"negative or NaN weight for variable {var}")
         if self.log_mode:
             return (math.log10(w_neg) if w_neg > 0 else _NEG_INF,
                     math.log10(w_pos) if w_pos > 0 else _NEG_INF)

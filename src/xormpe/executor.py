@@ -13,6 +13,8 @@ rebuild a maximizing assignment. The sign carries the weights and the fused
 factor: it has to cover every remaining factor that depends on the variable,
 or unconstrained variables would tie and lose their weight preference.
 
+An `Observer` gets one event per change of state: a join, a projection (with
+its fused child and recorded sign, if any) or a node's valuation.
 `verify_checkpoints` reruns a solve with an observer that maintains the
 multiset of active functions, checking after every state change - by
 exhaustive enumeration, so only small instances - that the active product
@@ -82,19 +84,12 @@ class Observer:
                      joined: Function) -> None:
         """The child's valuation h was joined into previous."""
 
-    def sign_pushed(self, node: int, var: int, sign: DerivativeSign) -> None:
-        """var's sign, its weights and fused factor included, was recorded;
-        the event of var's projection comes next."""
-
-    def projected(self, node: int, var: int, previous: Function,
-                  result: Function) -> None:
-        """var was projected out of previous under var's literal weights."""
-
-    def fused(self, node: int, var: int, h: Function, previous: Function,
-              result: Function) -> None:
-        """The child's valuation h was joined into previous and var projected
-        out of the product under var's literal weights, in one pass that
-        never built the product."""
+    def projected(self, node: int, var: int, h: Function | None, previous: Function,
+                  result: Function, sign: DerivativeSign | None) -> None:
+        """var was projected out of previous, times the child's valuation h
+        when one was fused in (the product is never built), under var's
+        literal weights. sign is the derivative sign the projection recorded,
+        or None when no signs are kept (`count`, or `valuate` without `stack=`)."""
 
     def exit(self, node: int, f: Function) -> None:
         """f is the node's valuation."""
@@ -176,12 +171,7 @@ def valuate(
                 # the sign covers every remaining factor depending on x: f, h and x's weights
                 h, fused = fused, None
                 previous, f = f, project(f, x, *weights.pair(x), h, stack)
-                if stack is not None:
-                    observer.sign_pushed(node_id, x, stack[-1])
-                if h is None:
-                    observer.projected(node_id, x, previous, f)
-                else:
-                    observer.fused(node_id, x, h, previous, f)
+                observer.projected(node_id, x, h, previous, f, stack[-1] if stack else None)
         observer.exit(node_id, f)
         values[node_id] = f
     for what, met, items in (("clause", clauses, range(len(formula.clauses))),
@@ -371,9 +361,10 @@ class _Verifier(Observer):
         self._insert(joined)
         self._check_active("join-condition", node)
 
-    def sign_pushed(self, node: int, var: int, sign: DerivativeSign) -> None:
+    def _check_sign(self, node: int, var: int, sign: DerivativeSign) -> None:
         # if t maximizes the (var + projected)-projection, t extended by the
-        # recorded sign must maximize the projected-variables projection
+        # recorded sign must maximize the projected-variables projection;
+        # runs before self.expected loses var
         c_before, c_after = self.expected, self._reduce_max(self.expected, var)
         overall = c_after.max()
         maximizers = c_after == overall
@@ -391,18 +382,17 @@ class _Verifier(Observer):
                 f"sign for variable {var} fails to extend maximizers at node {node}",
                 node=node, variable=var))
 
-    def projected(self, node: int, var: int, previous: Function,
-                  result: Function) -> None:
+    def projected(self, node: int, var: int, h: Function | None, previous: Function,
+                  result: Function, sign: DerivativeSign | None) -> None:
+        if sign is not None:
+            self._check_sign(node, var, sign)
+        if h is not None:
+            self._remove(h)
         self._remove(previous)
         self._remove(self.manager.literal_weight(var, *self.weights.pair(var)))
         self._insert(result)
         self.expected = self._reduce_max(self.expected, var)
         self._check_active("project-condition", node, variable=var)
-
-    def fused(self, node: int, var: int, h: Function, previous: Function,
-              result: Function) -> None:
-        self._remove(h)
-        self.projected(node, var, previous, result)
 
     def after_valuate(self, maximum: float) -> None:
         overall = self.master.max()

@@ -123,7 +123,7 @@ def test_solve_verify_respects_limit(capsys, tmp_path):
 
 
 class _Sizes(Observer):
-    """The size of every diagram seen at exit, child_joined, projected and fused."""
+    """The size of every diagram seen at exit, child_joined and projected."""
 
     def __init__(self):
         super().__init__()
@@ -135,10 +135,7 @@ class _Sizes(Observer):
     def child_joined(self, node, h, previous, joined):
         self.sizes.append(self.manager.size(joined))
 
-    def projected(self, node, var, previous, result):
-        self.sizes.append(self.manager.size(result))
-
-    def fused(self, node, var, h, previous, result):
+    def projected(self, node, var, h, previous, result, sign):
         self.sizes.append(self.manager.size(result))
 
 

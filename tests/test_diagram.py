@@ -381,11 +381,11 @@ def test_no_op_cache_entry_crosses_operations():
     def total(mgr, a, f):
         return mgr.add_project(f, 1, 3.0, 0.25)
 
-    def fused_below(mgr, a, f):
+    def product_below(mgr, a, f):
         """f a with x2 projected: f's top x1 is above x2, so rebuilt pairwise."""
         return mgr.exists_project(f, 2, 0.5, 4.0, a)
 
-    def fused_at(mgr, a, f):
+    def product_at(mgr, a, f):
         return mgr.add_project(f, 1, 3.0, 0.25, a)
 
     mgr, a, b, f = setup((2.0, 3.0), (5.0, 7.0))
@@ -394,8 +394,8 @@ def test_no_op_cache_entry_crosses_operations():
     mgr.exists_project(f, 1, 0.5, 4.0)
     assert values(total(mgr, a, f)) == fresh(total, (2.0, 3.0), (5.0, 7.0))
     mgr.join(f, a)  # its key (a, f) is the fused walk's first key above x2
-    assert values(fused_below(mgr, a, f)) == fresh(fused_below, (2.0, 3.0), (5.0, 7.0))
-    assert values(fused_at(mgr, a, f)) == fresh(fused_at, (2.0, 3.0), (5.0, 7.0))
+    assert values(product_below(mgr, a, f)) == fresh(product_below, (2.0, 3.0), (5.0, 7.0))
+    assert values(product_at(mgr, a, f)) == fresh(product_at, (2.0, 3.0), (5.0, 7.0))
     assert values(maximum(mgr, a, f)) == fresh(maximum, (2.0, 3.0), (5.0, 7.0))
 
     # the join caches 3 * 5 on its low branch, then underflows on its high one
@@ -594,6 +594,24 @@ def test_derivative_sign_ignores_independent_factors(mgr):
                 assert sign_fg.choose(a) is True
 
 
+@pytest.mark.parametrize("bound", [{}, {1: False}, {1: True}], ids=["unbound", "false", "true"])
+def test_sign_leaves_the_assignment_as_given(mgr, bound):
+    # the sign binds its variable in the caller's dict for its two
+    # evaluations and then restores it, also when an evaluation fails
+    f = mgr.join(mgr.from_clause(xor(1, 2)), mgr.literal_weight(1, 10, 100))
+    sign = mgr.derivative_sign(f, 1, 1.0, 2.0, mgr.from_clause(disj(1, 3)))
+    for given in ({2: False, 3: False}, {2: True, 3: True}):
+        assignment = {**given, **bound}
+        expected = (sign.weighed(given), sign.choose(given))
+        assert list(given) == [2, 3]
+        assert (sign.weighed(assignment), sign.choose(assignment)) == expected
+        assert assignment == {**given, **bound}
+    assignment = {3: True, **bound}
+    with pytest.raises(KeyError):
+        sign.choose(assignment)
+    assert assignment == {3: True, **bound}
+
+
 # ------------------------------------------------------------------- evaluate
 
 def test_evaluate(mgr):
@@ -681,6 +699,24 @@ def test_to_dot(mgr):
     assert "style=solid" in text
     assert "style=dashed" in text
     assert 'label="x1"' in text
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 2.0), (2.0, math.nan)], ids=["neg", "pos"])
+def test_nan_weight_is_rejected(any_mgr, weights):
+    # NaN fails every comparison, so it would pass a `w < 0` test: in linear
+    # mode the max would depend on argument order, in log10 it would turn
+    # into a zero weight
+    f = any_mgr.from_clause(disj(1, 2))
+    operations = [lambda: any_mgr.literal_weight(1, *weights),
+                  lambda: any_mgr.exists_project(f, 1, *weights),
+                  lambda: any_mgr.derivative_sign(f, 1, *weights)]
+    if not any_mgr.log_mode:
+        operations.append(lambda: any_mgr.add_project(f, 1, *weights))
+    for operation in operations:
+        with pytest.raises(ValueError, match="NaN weight"):
+            operation()
+    # inf stays an allowed weight
+    assert any_mgr.literal_weight(1, math.inf, 1.0).evaluate({1: False}) == math.inf
 
 
 @pytest.mark.parametrize("var", [0, -1])

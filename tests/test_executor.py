@@ -349,13 +349,49 @@ def test_op_cache_holds_one_operation():
         def watch(self, *args):
             self.most = max(self.most, len(self.manager._cache))
 
-        child_joined = projected = fused = exit = watch
+        child_joined = projected = exit = watch
 
     formula, weights = gen_chain(ChainSpec(20000, 2, 1))
     watcher = CacheWatcher()
     solve(formula, weights, plan(formula, list(formula.variables)), mode="log10",
           observer=watcher)
     assert watcher.most <= 8
+
+
+class Projections(Observer):
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def projected(self, node, var, h, previous, result, sign):
+        self.events.append((node, var, h, previous, sign))
+
+
+def test_each_projection_is_one_event(mixed6, unit_weights, mixed6_tree):
+    # solve reports every variable in one projected event; only the first
+    # projection at a node with two or more children, x1 at n8 and x3 at n9,
+    # takes a child's valuation h in, and sign is the entry it pushed
+    n8, n9 = (next(i for i, n in enumerate(mixed6_tree.nodes) if n.pi == pi)
+              for pi in ({1}, {3, 5}))
+    observer = Projections()
+    solve(mixed6, unit_weights, mixed6_tree, observer=observer)
+    assert sorted(var for _, var, *_ in observer.events) == [1, 2, 3, 4, 5, 6]
+    assert {(node, var) for node, var, h, *_ in observer.events if h is not None} == {
+        (n8, 1), (n9, 3)}
+    for _, var, h, previous, sign in observer.events:
+        assert (sign.var, sign.function, sign.factor) == (var, previous, h)
+
+    stack, observer = [], Projections()
+    valuate(DiagramManager(), mixed6, mixed6_tree, unit_weights, stack=stack,
+            observer=observer)
+    assert len(observer.events) == len(stack) == 6
+    assert all(sign is entry for (*_, sign), entry in zip(observer.events, stack))
+
+    # count keeps no signs
+    manager, observer = DiagramManager(), Projections()
+    valuate(manager, mixed6, mixed6_tree, unit_weights, project=manager.add_project,
+            observer=observer)
+    assert [sign for *_, sign in observer.events] == [None] * 6
 
 
 @pytest.mark.parametrize("mode", ["linear", "log10"])
@@ -560,7 +596,7 @@ def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
     class NarrowSolveMidway(Observer):
         ran = False
 
-        def sign_pushed(self, node, var, sign):
+        def projected(self, node, var, h, previous, result, sign):
             if self.ran:
                 return
             self.ran = True
