@@ -9,7 +9,8 @@ into its first projection: that pass walks both operands, so the product with
 the last child is never built either. Each projection records the variable's
 derivative sign from the factors it eliminates from. The root's valuation is a
 constant holding the maximum; the recorded signs are popped in reverse to
-rebuild a maximizing assignment. The sign carries the weights and the fused
+rebuild a maximizing assignment, which `solve` certifies against the formula
+and the weights before returning it. The sign carries the weights and the fused
 factor: it has to cover every remaining factor that depends on the variable,
 or unconstrained variables would tie and lose their weight preference.
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
-from .formula import Assignment, Formula, WeightFunction
+from .formula import Assignment, Formula, WeightFunction, evaluate_formula, evaluate_weight
 from .oracle import brute_solve
 from .planner import ProjectJoinTree
 
@@ -46,8 +47,8 @@ _RTOL = 1e-9  # relative tolerance of the checkpoints' comparisons with the enum
 @dataclass
 class SolveStats:
     """`width` is the tree's. `peak_nodes` is the number of diagram nodes the
-    solve allocated, terminals included; the manager frees no node during a
-    solve, so that final count is also its peak."""
+    solve allocated, the terminal included; the manager frees no node during
+    a solve, so that final count is also its peak."""
 
     width: int = 0
     peak_nodes: int = 0
@@ -191,10 +192,11 @@ def solve(
 ) -> SolveResult:
     """Maximum of the weighted formula plus one maximizing assignment.
 
-    mode "linear" works on raw weights; mode "log10" stores log10 weights in
-    the terminals (the maximum comes back as a log10 value), which keeps huge
-    weight products representable; a linear maximum out of double range
-    raises GuardError. `observer` receives every step.
+    mode "linear" works on raw weights; mode "log10" stores log10 values in
+    the edge offsets (the maximum comes back as a log10 value), which keeps
+    huge weight products representable; a linear offset out of double range
+    raises GuardError. A nonzero maximum is certified before it is returned
+    (see `_certify`). `observer` receives every step.
     """
     started = time.perf_counter()
     manager = _manager(mode)
@@ -215,14 +217,35 @@ def solve(
             raise InternalError(f"sign not ready: {exc}") from exc
         observer.popped(sign.var, maximizer)
 
-    # terminals are unique per value, so only a zero maximum is the zero node
+    # only the zero function carries the zero offset
     no_model = root == manager.zero()
+    if not no_model:
+        _certify(formula, weights, mode, maximum, maximizer)
     stats = SolveStats(
         width=tree.width(),
         peak_nodes=manager.node_count(),
         exec_seconds=time.perf_counter() - started,
     )
     return SolveResult(maximum, maximizer, no_model, mode, stats)
+
+
+def _certify(formula: Formula, weights: WeightFunction, mode: str, maximum: float,
+             maximizer: dict[int, bool]) -> None:
+    """A nonzero maximum's certificate: the maximizer satisfies every clause
+    and weighs the maximum to `_RTOL` (in log10 mode, an fsum of log10
+    weights, with an absolute floor of `_RTOL` for a maximum near 0.0).
+    Else the solve is wrong, which raises InternalError."""
+    if not evaluate_formula(formula, maximizer):
+        raise InternalError("the maximizer falsifies a clause of a satisfiable formula")
+    if mode == "log10":
+        chosen = [weights.weight(var, maximizer[var]) for var in formula.variables]
+        weight = -math.inf if 0.0 in chosen else math.fsum(map(math.log10, chosen))
+        certified = math.isclose(weight, maximum, rel_tol=_RTOL, abs_tol=_RTOL)
+    else:
+        weight = evaluate_weight(weights, maximizer)
+        certified = math.isclose(weight, maximum, rel_tol=_RTOL, abs_tol=0.0)
+    if not certified:
+        raise InternalError(f"the maximizer weighs {weight!r}, not the maximum {maximum!r}")
 
 
 def count(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree) -> float:
@@ -273,7 +296,7 @@ class _CheckFailed(Exception):
 
 class _Verifier(Observer):
     """Instrumentation mirroring the annotated execution: A is the multiset of
-    active functions (by node id), `expected` the oracle's dense enumeration
+    active functions (by edge), `expected` the oracle's dense enumeration
     of the weighted formula maximized over the variables projected so far,
     one axis per projection (a max is exact, so the order is free). The state
     is checked once after setup, each join and each projection; a fused join
@@ -289,7 +312,7 @@ class _Verifier(Observer):
         self.bits = {var: ((indices >> (var - 1)) & 1) == 1 for var in formula.variables}
         self.master = brute_solve(formula, weights).values
         self.expected = self.master
-        self.active: dict[int, int] = {}  # node id -> multiplicity
+        self.active: dict[Function, int] = {}  # function (edge) -> multiplicity
         self._grids: dict[int, np.ndarray] = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -305,38 +328,42 @@ class _Verifier(Observer):
         self._check_active("pre-condition", None)
 
     def _insert(self, f: Function) -> None:
-        if f.node != self.manager._one:  # the unit is no factor of the product
-            self.active[f.node] = self.active.get(f.node, 0) + 1
+        if f != self.manager.one():  # the unit is no factor of the product
+            self.active[f] = self.active.get(f, 0) + 1
 
     def _remove(self, f: Function) -> None:
-        if f.node == self.manager._one:
+        if f == self.manager.one():
             return
-        count = self.active.get(f.node, 0)
+        count = self.active.get(f, 0)
         if count <= 0:
-            raise InternalError(f"active multiset misses node {f.node}")
+            raise InternalError(f"active multiset misses {f!r}")
         if count == 1:
-            del self.active[f.node]
+            del self.active[f]
         else:
-            self.active[f.node] = count - 1
+            self.active[f] = count - 1
 
     def _grid(self, node: int) -> np.ndarray:
+        """The node's function at every point (its edges' offsets taken in)."""
         cached = self._grids.get(node)
         if cached is not None:
             return cached
         manager = self.manager
         if manager.is_terminal(node):
-            grid = np.full(self.size, manager._value[node], dtype=np.float64)
+            grid = np.ones(self.size, dtype=np.float64)
         else:
             grid = np.where(self.bits[manager._level[node]],
-                            self._grid(manager._high[node]),
-                            self._grid(manager._low[node]))
+                            manager._high_off[node] * self._grid(manager._high[node]),
+                            manager._low_off[node] * self._grid(manager._low[node]))
         self._grids[node] = grid
         return grid
 
+    def _values(self, f: Function) -> np.ndarray:
+        return f.offset * self._grid(f.node)
+
     def _active_product(self) -> np.ndarray:
         product = np.ones(self.size, dtype=np.float64)
-        for node, multiplicity in self.active.items():
-            grid = self._grid(node)
+        for f, multiplicity in self.active.items():
+            grid = self._values(f)
             for _ in range(multiplicity):
                 product = product * grid
         return product
@@ -369,9 +396,9 @@ class _Verifier(Observer):
         overall = c_after.max()
         maximizers = c_after == overall
         # hi and lo: every point with var (bit var-1 of the index) set to 1, 0
-        f = self._grid(sign.function.node)
+        f = self._values(sign.function)
         if sign.factor is not None:
-            f = f * self._grid(sign.factor.node)
+            f = f * self._values(sign.factor)
         f = f * np.where(self.bits[var], sign.w_pos, sign.w_neg)
         index = np.arange(self.size)
         hi, lo = index | (1 << (var - 1)), index & ~(1 << (var - 1))

@@ -273,9 +273,14 @@ def format_formula(formula: Formula, weights: WeightFunction) -> str:
 def evaluate_clause(clause: Clause, assignment: Assignment) -> bool:
     """Truth value of one clause; raises KeyError on an unbound variable."""
     if clause.kind is ClauseKind.DISJUNCTION:
-        return any(assignment[lit.var] == lit.positive for lit in clause.literals)
-    satisfied = sum(assignment[lit.var] == lit.positive for lit in clause.literals)
-    return satisfied % 2 == 1
+        for lit in clause.literals:
+            if assignment[lit.var] == lit.positive:
+                return True
+        return False
+    odd = False
+    for lit in clause.literals:
+        odd ^= assignment[lit.var] == lit.positive
+    return odd
 
 
 def evaluate_formula(formula: Formula, assignment: Assignment) -> bool:

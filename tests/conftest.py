@@ -45,20 +45,26 @@ def support(f):
 
 
 def add(f, g):
-    """Pointwise sum of two functions of one linear-domain manager."""
+    """Pointwise sum of two functions of one linear-domain manager, walking
+    both edges together and adding their offsets at the terminal."""
     mgr = f.manager
-    level, low, high, value = mgr._level, mgr._low, mgr._high, mgr._value
+    level, low, high = mgr._level, mgr._low, mgr._high
+    low_off, high_off = mgr._low_off, mgr._high_off
+
+    def cofactors(c, node, top):
+        if level[node] != top:
+            return (c, node), (c, node)
+        return (c * low_off[node], low[node]), (c * high_off[node], high[node])
 
     @cache
-    def rec(u, v):
+    def rec(cu, u, cv, v):
         if mgr.is_terminal(u) and mgr.is_terminal(v):
-            return mgr._terminal(value[u] + value[v])
+            return cu + cv, u
         top = min(level[u], level[v])
-        u0, u1 = (low[u], high[u]) if level[u] == top else (u, u)
-        v0, v1 = (low[v], high[v]) if level[v] == top else (v, v)
-        return mgr._mk(top, rec(u0, v0), rec(u1, v1))
+        (u0, u1), (v0, v1) = cofactors(cu, u, top), cofactors(cv, v, top)
+        return mgr._mk(top, *rec(*u0, *v0), *rec(*u1, *v1))
 
-    return Function(mgr, rec(f.node, g.node))
+    return Function(mgr, *rec(f.offset, f.node, g.offset, g.node))
 
 
 def join_then_project(project, f, var, w_neg, w_pos):

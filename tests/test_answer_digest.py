@@ -20,8 +20,8 @@ from xormpe.benchgen import gen_random
 from xormpe.executor import count, solve
 from xormpe.planner import Heuristic, heuristic_order, plan
 
-DIGEST = "20b55a1b8c0870e2caea6e81509c8b0683854fc42dc6061e1b3a126fc9857a30"
-LOG10_DIGEST = "1adaf868371b663ebb0461838be42e077b1dc5837096841933e8282fd52f1391"
+DIGEST = "a342e9602445091654004a24d8748d2652d4f7ad675a361f7b64c020dde428f8"
+LOG10_DIGEST = "d47fae19dec4dcbea754f75f1bc64b1768809465de05c4d9899c67d38414c8bc"
 
 
 def digest_instance(trial):

@@ -8,8 +8,9 @@ import weakref
 import pytest
 
 from xormpe.benchgen import ChainSpec, gen_chain, gen_random
-from xormpe.diagram import DiagramManager
-from xormpe.errors import GuardError
+from xormpe.cli import main
+from xormpe.diagram import DerivativeSign, DiagramManager
+from xormpe.errors import GuardError, InternalError
 from xormpe import executor
 from xormpe.executor import (
     Observer,
@@ -23,6 +24,7 @@ from xormpe.formula import (
     WeightFunction,
     evaluate_formula,
     evaluate_weight,
+    format_formula,
 )
 from xormpe.oracle import brute_solve
 from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan, validate
@@ -512,7 +514,74 @@ def test_fault_push_after_project_caught():
     with injected_fault("push_after_project"):
         failure = verify_checkpoints(formula, weights, plan_for(formula))
     assert failure is not None
-    assert failure.checkpoint in ("maximizer-push", "maximizer-pop")
+    assert (failure.checkpoint, failure.variable) == ("maximizer-push", 1)
+
+
+def corrupt_sign(monkeypatch, var, corrupt):
+    """Every solve builds a manager whose projection of var records
+    corrupt(sign) in place of var's true sign; the projection is untouched."""
+    class CorruptSign(DiagramManager):
+        def exists_project(self, f, x, w_neg=1.0, w_pos=1.0, h=None, signs=None):
+            result = super().exists_project(f, x, w_neg, w_pos, h, signs)
+            if signs is not None and x == var:
+                signs[-1] = corrupt(signs[-1])
+            return result
+
+    monkeypatch.setattr(executor, "DiagramManager", CorruptSign)
+
+
+class _FlippedSign(DerivativeSign):
+    def choose(self, assignment):
+        return not super().choose(assignment)
+
+
+def test_sign_with_swapped_weights_fails_only_the_push_check(monkeypatch):
+    # x2's sign weighs x2 = 1 at 1 and x2 = 0 at 3, so it picks 0; every
+    # projection is right, so the first check to fail is the one that tests
+    # the sign as it is pushed, before any pop reaches x2
+    formula = Formula(2, [disj(1, 2)])
+    weights = WeightFunction({1: (1, 2), 2: (1, 3)})
+    tree = plan_for(formula)
+    assert verify_checkpoints(formula, weights, tree) is None
+    corrupt_sign(monkeypatch, 2, lambda sign: sign._replace(w_neg=sign.w_pos,
+                                                             w_pos=sign.w_neg))
+    failure = verify_checkpoints(formula, weights, tree)
+    assert failure is not None
+    assert (failure.checkpoint, failure.variable) == ("maximizer-push", 2)
+
+
+@pytest.mark.parametrize("mode", ["linear", "log10"])
+@pytest.mark.parametrize("formula, weights, message", [
+    (Formula(2, [disj(1, 2)]), WeightFunction({1: (1, 2), 2: (1, 3)}), "weighs"),
+    (Formula(1, [disj(1)]), WeightFunction(), "falsifies a clause"),
+], ids=["weight", "clause"])
+def test_solve_certifies_its_maximizer(monkeypatch, tmp_path, capsys, mode, formula,
+                                       weights, message):
+    # one corrupted sign: x1 takes the other polarity, so the maximizer
+    # weighs less than the maximum or falsifies a clause; solve refuses it,
+    # and the command line exits 1
+    tree = plan_for(formula)
+    maximum = solve(formula, weights, tree, mode=mode).maximum
+    corrupt_sign(monkeypatch, 1, lambda sign: _FlippedSign(*sign))
+    with pytest.raises(InternalError, match=message):
+        solve(formula, weights, tree, mode=mode)
+    path = tmp_path / "instance.xcnf"
+    path.write_text(format_formula(formula, weights))
+    assert main(["solve", str(path), "--mode", mode]) == 1
+    out, err = capsys.readouterr()
+    assert "s MAXIMUM" not in out and message in err
+    assert maximum > (0.0 if mode == "linear" else -math.inf)
+
+
+def test_certificate_allows_a_log10_maximum_of_zero():
+    # weights 3, 7 and 1/21 on three unit clauses weigh 1: the solve's log10
+    # maximum is 0.0 and the maximizer's fsum of log10 weights -5.6e-17, so
+    # only the certificate's absolute floor accepts the answer
+    formula = Formula(3, [disj(1), disj(2), disj(3)])
+    weights = WeightFunction({1: (1.0, 3.0), 2: (1.0, 7.0), 3: (1.0, 1 / 21)})
+    result = solve(formula, weights, plan(formula, [1, 2, 3]), mode="log10")
+    assert result.maximum == pytest.approx(0.0, abs=1e-12)
+    assert result.maximizer == {1: True, 2: True, 3: True}
 
 
 def test_fault_tie_break_caught_by_canonical_tie_oracle():
@@ -541,7 +610,11 @@ def test_faults_detected_by_oracle_tests_somewhere():
         reference = brute_solve(formula, weights)
         for fault in detected:
             with injected_fault(fault):
-                result = solve(formula, weights, tree)
+                try:
+                    result = solve(formula, weights, tree)
+                except InternalError:  # the solve's certificate refused its answer
+                    detected[fault] = True
+                    continue
             wrong_max = abs(result.maximum - reference.maximum) > \
                 1e-9 * max(1.0, abs(reference.maximum))
             wrong_witness = not reference.is_maximizer(result.maximizer)
