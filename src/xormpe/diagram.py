@@ -1,20 +1,21 @@
 """Reduced ordered edge-valued decision diagrams with one terminal.
 
 A function is an edge `(offset, node)`: the node's function times the
-offset. A node `(var, lo, lo_off, hi, hi_off)` is the function whose
-cofactor at var = 0 is the edge (lo_off, lo) and at var = 1 the edge
-(hi_off, hi). Every node is normalized so that the larger of its two offsets
-is the unit, so every node's function has the unit as its maximum and an
-edge's offset is its function's maximum. There is one terminal, node 0, the
-unit constant; the zero function is the zero offset on it, and no other
-edge carries the zero offset. One manager owns every node it creates. Nodes
-are deduplicated through a unique table keyed on their exact offsets, and a
-node with equal edges on both sides reduces to that edge, so two functions
-that differ by a constant factor share their node (EVBDD, Lai and Sastry,
-DAC 1992; affine ADDs, Sanner and McAllester, IJCAI 2005). Offsets are
-floats, so two computations of one function that round differently may end
-on different nodes: within a manager, a shared edge means pointwise equal
-functions, and equal functions share an edge up to rounding.
+offset. Node i is one record, the tuple `_nodes[i] = (var, lo, lo_off, hi,
+hi_off)`: the function whose cofactor at var = 0 is the edge (lo_off, lo)
+and at var = 1 the edge (hi_off, hi). Every node is normalized so that the
+larger of its two offsets is the unit, so every node's function has the unit
+as its maximum and an edge's offset is its function's maximum. There is one
+terminal, node 0, the unit constant; the zero function is the zero offset on
+it, and no other edge carries the zero offset. One manager owns every node
+it creates. Nodes are deduplicated through a unique table whose key is the
+record itself, exact offsets included (as CUDD hashes its `DdNode` records),
+and a node with equal edges on both sides reduces to that edge, so two
+functions that differ by a constant factor share their node (EVBDD, Lai and
+Sastry, DAC 1992; affine ADDs, Sanner and McAllester, IJCAI 2005). Offsets
+are floats, so two computations of one function that round differently may
+end on different nodes: within a manager, a shared edge means pointwise
+equal functions, and equal functions share an edge up to rounding.
 
 The manager has two value domains:
 
@@ -43,8 +44,8 @@ join or elimination at a time, so no key carries a tag, variable or weight.
 `size` and `to_dot` share `_reachable`.
 
 A node's level is its variable's index, so every manager orders variables by
-ascending index and takes no order; the terminal is at `_LEAF_LEVEL`, below
-every variable. There is no reordering.
+ascending index and takes no order; the terminal's record is `(_LEAF_LEVEL,
+-1, None, -1, None)`, below every variable. There is no reordering.
 """
 
 from __future__ import annotations
@@ -100,9 +101,8 @@ def _plus(x: float, y: float) -> float:
     return total
 
 
-def _node_store(log_mode: bool, level: list, low: list, low_off: list, high: list,
-                high_off: list, unique: dict):
-    """The manager's node constructor over its arrays and unique table:
+def _node_store(log_mode: bool, nodes: list, unique: dict):
+    """The manager's node constructor over its node list and unique table:
     `mk(var, c0, n0, c1, n1)` returns the edge of the function whose
     cofactors at var = 0 and var = 1 are the edges (c0, n0) and (c1, n1),
     through a node new or not; it applies the equal-edges reduction and
@@ -110,13 +110,8 @@ def _node_store(log_mode: bool, level: list, low: list, low_off: list, high: lis
     value domain's arithmetic, as it is the call every kernel makes most."""
 
     def new(key: tuple) -> int:
-        node = unique[key] = len(level)
-        var, n0, c0, n1, c1 = key
-        level.append(var)
-        low.append(n0)
-        low_off.append(c0)
-        high.append(n1)
-        high_off.append(c1)
+        node = unique[key] = len(nodes)
+        nodes.append(key)
         return node
 
     if log_mode:
@@ -226,7 +221,7 @@ class DerivativeSign(NamedTuple):
 
 
 class DiagramManager:
-    """Shared node store, unique table, and operation cache for one solve.
+    """Node records, their unique table, and the operation cache for one solve.
 
     Not thread-safe; confine a manager and its functions to one thread. The
     operation cache holds one join or elimination, emptied as the next starts.
@@ -237,23 +232,16 @@ class DiagramManager:
         self._unit, self._zero = (0.0, _NEG_INF) if log_mode else (1.0, 0.0)
         self._times = operator.add if log_mode else _times
 
-        # parallel node arrays, the terminal first; an internal node's level
-        # is its variable
-        self._level: list[int] = [_LEAF_LEVEL]
-        self._low: list[int] = [-1]
-        self._low_off: list[float | None] = [None]
-        self._high: list[int] = [-1]
-        self._high_off: list[float | None] = [None]
-
+        # node i is the record self._nodes[i], which is also its unique-table key
+        self._nodes: list[tuple] = [(_LEAF_LEVEL, -1, None, -1, None)]
         self._unique: dict[tuple[int, int, float, int, float], int] = {}
         self._terminals = (_TERMINAL,)  # an edge-valued store has one
         self._cache: dict = {}  # the operation in progress, keyed by node tuples
 
-        # a plain function of the arrays, not a bound method, and the kernels
+        # a plain function of the store, not a bound method, and the kernels
         # are built per operation: nothing the manager holds refers back to
         # it, so its last reference frees it without a cycle collection
-        self._mk = _node_store(log_mode, self._level, self._low, self._low_off,
-                               self._high, self._high_off, self._unique)
+        self._mk = _node_store(log_mode, self._nodes, self._unique)
 
     # ------------------------------------------------------------------ nodes
 
@@ -333,9 +321,7 @@ class DiagramManager:
         (f g)|var=1) pointwise, in one pass over f and g that builds neither
         the product f g nor a weighted cofactor; (x) is the join's product."""
         (cf, u), (cg, v) = f, g
-        level, low, high = self._level, self._low, self._high
-        low_off, high_off = self._low_off, self._high_off
-        cache, mk, times = self._cache, self._mk, self._times
+        nodes, cache, mk, times = self._nodes, self._cache, self._mk, self._times
         unit, zero = self._unit, self._zero
         ratio = operator.sub if self.log_mode else _ratio
         cache.clear()  # first, as an operation cut short by GuardError leaves entries
@@ -362,18 +348,16 @@ class DiagramManager:
             result = cache.get(key)
             if result is not None:
                 return result
-            la, lb = level[a], level[b]
-            top = la if la < lb else lb
-            if la == top:
-                a0, ca0, a1, ca1 = low[a], low_off[a], high[a], high_off[a]
-            else:
-                a0 = a1 = a
-                ca0 = ca1 = unit
-            if lb == top:
-                b0, cb0, b1, cb1 = low[b], low_off[b], high[b], high_off[b]
-            else:
+            la, a0, ca0, a1, ca1 = nodes[a]
+            lb, b0, cb0, b1, cb1 = nodes[b]
+            top = la
+            if la < lb:
                 b0 = b1 = b
                 cb0 = cb1 = unit
+            elif lb < la:
+                top = lb
+                a0 = a1 = a
+                ca0 = ca1 = unit
             c0, c1 = times(ca0, cb0), times(ca1, cb1)
             if c0 == zero:
                 n0 = _TERMINAL
@@ -409,7 +393,10 @@ class DiagramManager:
             key = (a0, b0, a1, b1, d)
             result = cache.get(key)
             if result is None:
-                la0, lb0, la1, lb1 = level[a0], level[b0], level[a1], level[b1]
+                la0, a00, c00, a01, c01 = nodes[a0]
+                lb0, b00, cb00, b01, cb01 = nodes[b0]
+                la1, a10, ca10, a11, ca11 = nodes[a1]
+                lb1, b10, cb10, b11, cb11 = nodes[b1]
                 top = la0
                 if lb0 < top:
                     top = lb0
@@ -418,28 +405,24 @@ class DiagramManager:
                 if lb1 < top:
                     top = lb1
                 if la0 == top:
-                    a00, c00, a01, c01 = low[a0], low_off[a0], high[a0], high_off[a0]
                     if lb0 == top:
-                        b00, b01 = low[b0], high[b0]
-                        c00, c01 = times(c00, low_off[b0]), times(c01, high_off[b0])
+                        c00, c01 = times(c00, cb00), times(c01, cb01)
                     else:
                         b00 = b01 = b0
                 else:
                     a00 = a01 = a0
                     if lb0 == top:
-                        b00, c00, b01, c01 = low[b0], low_off[b0], high[b0], high_off[b0]
+                        c00, c01 = cb00, cb01
                     else:
                         b00 = b01 = b0
                         c00 = c01 = unit
                 if la1 == top:
-                    a10, a11 = low[a1], high[a1]
-                    c10, c11 = times(d, low_off[a1]), times(d, high_off[a1])
+                    c10, c11 = times(d, ca10), times(d, ca11)
                 else:
                     a10 = a11 = a1
                     c10 = c11 = d
                 if lb1 == top:
-                    b10, b11 = low[b1], high[b1]
-                    c10, c11 = times(c10, low_off[b1]), times(c11, high_off[b1])
+                    c10, c11 = times(c10, cb10), times(c11, cb11)
                 else:
                     b10 = b11 = b1
                 m0, n0 = sides(a00, b00, c00, a10, b10, c10)
@@ -454,7 +437,8 @@ class DiagramManager:
         def rec(u: int, v: int) -> tuple[float, int]:
             if u > v:  # the product commutes
                 u, v = v, u
-            lu, lv = level[u], level[v]
+            lu, u0, cu0, u1, cu1 = nodes[u]
+            lv, v0, cv0, v1, cv1 = nodes[v]
             top = lu if lu < lv else lv
             if top > var:  # var is absent below here: both sides are u v
                 m, n = product(u, v)
@@ -463,14 +447,10 @@ class DiagramManager:
                 result = cache.get((u, v))
                 if result is not None:
                     return result
-            if lu == top:
-                u0, cu0, u1, cu1 = low[u], low_off[u], high[u], high_off[u]
-            else:
+            if lu != top:
                 u0 = u1 = u
                 cu0 = cu1 = unit
-            if lv == top:
-                v0, cv0, v1, cv1 = low[v], low_off[v], high[v], high_off[v]
-            else:
+            if lv != top:
                 v0 = v1 = v
                 cv0 = cv1 = unit
             c0, c1 = times(cu0, cv0), times(cu1, cv1)
@@ -540,30 +520,30 @@ class DiagramManager:
         """Follow one root-to-terminal path, taking in each edge's offset;
         every support variable must be bound."""
         value, node = self._edge(f)
-        level, low, high = self._level, self._low, self._high
-        low_off, high_off, times = self._low_off, self._high_off, self._times
+        nodes, times = self._nodes, self._times
         while node != _TERMINAL:
-            var = level[node]
+            var, low, low_off, high, high_off = nodes[node]
             try:
                 bound = assignment[var]
             except KeyError:
                 raise KeyError(f"variable {var} unbound during evaluation") from None
             if bound:
-                value, node = times(value, high_off[node]), high[node]
+                value, node = times(value, high_off), high
             else:
-                value, node = times(value, low_off[node]), low[node]
+                value, node = times(value, low_off), low
         return value
 
     def _reachable(self, root: int) -> set[int]:
         """Every node (the terminal included) reachable from root."""
-        level, low, high = self._level, self._low, self._high
+        nodes = self._nodes
         seen = {root}
         stack = [root]
         while stack:
             node = stack.pop()
             if node == _TERMINAL:
                 continue
-            for child in (low[node], high[node]):
+            _, low, _, high, _ = nodes[node]
+            for child in (low, high):
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
@@ -574,7 +554,7 @@ class DiagramManager:
         return len(self._reachable(self._edge(f)[1]))
 
     def node_count(self) -> int:
-        return len(self._level)
+        return len(self._nodes)
 
     def to_dot(self, f: Function) -> str:
         """Graphviz text, nodes by ascending id; solid edge = variable
@@ -586,10 +566,9 @@ class DiagramManager:
             if node == _TERMINAL:
                 lines.append(f'  n{node} [shape=box, label="{self._unit:.6g}"];')
                 continue
-            lines.append(f'  n{node} [shape=oval, label="x{self._level[node]}"];')
-            lines.append(f'  n{node} -> n{self._high[node]} '
-                         f'[style=solid, label="{self._high_off[node]:.6g}"];')
-            lines.append(f'  n{node} -> n{self._low[node]} '
-                         f'[style=dashed, label="{self._low_off[node]:.6g}"];')
+            var, low, low_off, high, high_off = self._nodes[node]
+            lines.append(f'  n{node} [shape=oval, label="x{var}"];')
+            lines.append(f'  n{node} -> n{high} [style=solid, label="{high_off:.6g}"];')
+            lines.append(f'  n{node} -> n{low} [style=dashed, label="{low_off:.6g}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -351,9 +351,9 @@ class _Verifier(Observer):
         if manager.is_terminal(node):
             grid = np.ones(self.size, dtype=np.float64)
         else:
-            grid = np.where(self.bits[manager._level[node]],
-                            manager._high_off[node] * self._grid(manager._high[node]),
-                            manager._low_off[node] * self._grid(manager._low[node]))
+            var, low, low_off, high, high_off = manager._nodes[node]
+            grid = np.where(self.bits[var], high_off * self._grid(high),
+                            low_off * self._grid(low))
         self._grids[node] = grid
         return grid
 

@@ -47,8 +47,8 @@ class Literal:
     positive: bool
 
     def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
+        if not isinstance(self.var, int) or self.var < 1:
+            raise ValueError(f"variable index must be an integer >= 1, got {self.var!r}")
 
     def to_int(self) -> int:
         return self.var if self.positive else -self.var
@@ -92,8 +92,8 @@ class Formula:
     clauses: list[Clause]
 
     def __post_init__(self):
-        if self.var_count < 0:
-            raise ValueError("negative variable count")
+        if not isinstance(self.var_count, int) or self.var_count < 0:
+            raise ValueError(f"variable count must be an integer >= 0, got {self.var_count!r}")
         for i, clause in enumerate(self.clauses):
             for lit in clause.literals:
                 if lit.var > self.var_count:
@@ -222,10 +222,13 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
 
 
 def _number(parse, token: str):
-    try:
-        return parse(token)
-    except ValueError:
-        raise ValueError(f"non-numeric token {token!r}") from None
+    # int and float also take "1_0" and non-ASCII digits such as "\u0663"
+    if token.isascii() and "_" not in token:
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    raise ValueError(f"non-numeric token {token!r}")
 
 
 def _literal(token: str, var_count: int) -> int:

@@ -40,7 +40,7 @@ def project_all(project, f, variables):
 def support(f):
     """Variables appearing on some root-to-terminal path of f."""
     mgr = f.manager
-    return {mgr._level[node] for node in mgr._reachable(f.node)
+    return {mgr._nodes[node][0] for node in mgr._reachable(f.node)
             if not mgr.is_terminal(node)}
 
 
@@ -48,19 +48,19 @@ def add(f, g):
     """Pointwise sum of two functions of one linear-domain manager, walking
     both edges together and adding their offsets at the terminal."""
     mgr = f.manager
-    level, low, high = mgr._level, mgr._low, mgr._high
-    low_off, high_off = mgr._low_off, mgr._high_off
+    nodes = mgr._nodes
 
     def cofactors(c, node, top):
-        if level[node] != top:
+        var, low, low_off, high, high_off = nodes[node]
+        if var != top:
             return (c, node), (c, node)
-        return (c * low_off[node], low[node]), (c * high_off[node], high[node])
+        return (c * low_off, low), (c * high_off, high)
 
     @cache
     def rec(cu, u, cv, v):
         if mgr.is_terminal(u) and mgr.is_terminal(v):
             return cu + cv, u
-        top = min(level[u], level[v])
+        top = min(nodes[u][0], nodes[v][0])
         (u0, u1), (v0, v1) = cofactors(cu, u, top), cofactors(cv, v, top)
         return mgr._mk(top, *rec(*u0, *v0), *rec(*u1, *v1))
 

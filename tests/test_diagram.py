@@ -688,11 +688,11 @@ def test_no_redundant_nodes_reachable(mgr):
             if node in seen or mgr.is_terminal(node):
                 continue
             seen.add(node)
-            assert (mgr._low_off[node], mgr._low[node]) != \
-                (mgr._high_off[node], mgr._high[node])
-            assert max(mgr._low_off[node], mgr._high_off[node]) == 1.0  # normalized
-            stack.append(mgr._low[node])
-            stack.append(mgr._high[node])
+            _, low, low_off, high, high_off = mgr._nodes[node]
+            assert (low_off, low) != (high_off, high)
+            assert max(low_off, high_off) == 1.0  # normalized
+            stack.append(low)
+            stack.append(high)
 
 
 def test_size_counts_distinct_nodes(mgr):
@@ -741,6 +741,44 @@ def test_to_dot(mgr):
     assert "style=solid" in text
     assert "style=dashed" in text
     assert 'label="x1"' in text
+
+
+DOT_GOLDEN = {
+    False: """digraph add {
+  label="offset 0.75";
+  n0 [shape=box, label="1"];
+  n1 [shape=oval, label="x2"];
+  n1 -> n0 [style=solid, label="1"];
+  n1 -> n0 [style=dashed, label="0"];
+  n2 [shape=oval, label="x2"];
+  n2 -> n0 [style=solid, label="0"];
+  n2 -> n0 [style=dashed, label="1"];
+  n6 [shape=oval, label="x1"];
+  n6 -> n2 [style=solid, label="0.333333"];
+  n6 -> n1 [style=dashed, label="1"];
+}
+""",
+    True: """digraph add {
+  label="offset -0.124939";
+  n0 [shape=box, label="0"];
+  n1 [shape=oval, label="x2"];
+  n1 -> n0 [style=solid, label="0"];
+  n1 -> n0 [style=dashed, label="-inf"];
+  n2 [shape=oval, label="x2"];
+  n2 -> n0 [style=solid, label="-inf"];
+  n2 -> n0 [style=dashed, label="0"];
+  n6 [shape=oval, label="x1"];
+  n6 -> n2 [style=solid, label="-0.477121"];
+  n6 -> n1 [style=dashed, label="0"];
+}
+""",
+}
+
+
+def test_to_dot_golden(any_mgr):
+    # the exact text `solve --dot` writes: node ids, edge order and offsets
+    f = any_mgr.join(any_mgr.from_clause(xor(1, 2)), any_mgr.literal_weight(2, 0.25, 0.75))
+    assert any_mgr.to_dot(f) == DOT_GOLDEN[any_mgr.log_mode]
 
 
 @pytest.mark.parametrize("weights", [(math.nan, 2.0), (2.0, math.nan)], ids=["neg", "pos"])

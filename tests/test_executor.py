@@ -342,6 +342,24 @@ def test_peak_nodes_counts_allocated_nodes(mixed6, unit_weights, mixed6_tree):
     assert result.stats.peak_nodes == observer.manager.node_count()
 
 
+def test_each_node_is_stored_once_as_its_unique_key(mixed6, unit_weights, mixed6_tree):
+    # node i's record is the key the unique table maps to i, and every node
+    # but the terminal has exactly one entry there
+    managers = []
+    for mode in ("linear", "log10"):
+        observer = Observer()
+        solve(mixed6, unit_weights, mixed6_tree, mode=mode, observer=observer)
+        managers.append(observer.manager)
+    counting = DiagramManager()
+    valuate(counting, mixed6, mixed6_tree, unit_weights, project=counting.add_project)
+    managers.append(counting)
+    for mgr in managers:
+        assert mgr.node_count() > 1
+        assert mgr.node_count() == len(mgr._unique) + 1
+        for i in range(1, mgr.node_count()):
+            assert mgr._unique[mgr._nodes[i]] == i
+
+
 def test_op_cache_holds_one_operation():
     # every join and projection empties the cache as it starts, so a long
     # solve never holds more than the entries of the operation in progress

@@ -58,6 +58,9 @@ def test_parse_negative_weight_reports_line():
     ("p cnf 1 1\n1\n", "not terminated"),
     ("p cnf 1 1\n0\n", "empty clause"),
     ("p cnf 1 1\n1 0\nw 1 abc\n", "non-numeric"),
+    ("p cnf 1_0 1\n1 0\n", "non-numeric"),
+    ("p cnf 3 1\n\u0663 0\n", "non-numeric"),
+    ("p cnf 1 1\n1 0\nw 1 1_000\n", "non-numeric"),
     ("p cnf 1 1\n1 0\nw 0 1.0\n", "literal 0"),
     ("p cnf 1 1\n1 0\nw 2 1.0\n", "out of range"),
     ("p cnf 1 1\n1 0\nw 1 0.5 7\n", "malformed weight"),
@@ -188,6 +191,17 @@ def test_literal_from_int():
     assert Literal.from_int(-3) == Literal(3, False)
     with pytest.raises(ValueError):
         Literal.from_int(0)
+
+
+@pytest.mark.parametrize("build", [lambda: Literal(1.5, True), lambda: Literal.from_int(-1.5),
+                                   lambda: Literal(2.0, False), lambda: Formula(2.5, []),
+                                   lambda: Formula(2.0, [disj(1)])],
+                         ids=["literal", "from_int", "integral-float", "formula",
+                              "integral-float-count"])
+def test_float_indices_are_rejected(build):
+    # a float index would reach format_formula and export_wcnf as "1.5"
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
