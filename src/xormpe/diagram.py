@@ -257,9 +257,10 @@ class DiagramManager:
 
     def constant(self, value: float) -> Function:
         """The constant with the given raw value (in the manager's value
-        domain). A constant out of double range (inf, or NaN) is refused."""
+        domain). A constant out of the domain is refused: inf or NaN, and in
+        linear mode any negative value (log10 takes -inf, its zero)."""
         value = float(value)
-        if math.isnan(value) or value == math.inf:
+        if math.isnan(value) or value == math.inf or (value < 0 and not self.log_mode):
             raise ValueError(f"constant {value} is outside the value domain")
         return Function(self, value, _TERMINAL)
 

@@ -41,13 +41,14 @@ class ClauseKind(enum.Enum):
     XOR = "xor"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     var: int
     positive: bool
 
     def __post_init__(self):
-        if not isinstance(self.var, int) or self.var < 1:
+        # a bool is an int that would be written out as "True"
+        if not isinstance(self.var, int) or isinstance(self.var, bool) or self.var < 1:
             raise ValueError(f"variable index must be an integer >= 1, got {self.var!r}")
 
     def to_int(self) -> int:
@@ -57,10 +58,11 @@ class Literal:
     def from_int(lit: int) -> "Literal":
         if lit == 0:
             raise ValueError("literal 0 is reserved as the clause terminator")
-        return Literal(abs(lit), lit > 0)
+        # -lit, not abs(lit): abs(True) is the int 1, which the check would pass
+        return Literal(lit if lit > 0 else -lit, lit > 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     kind: ClauseKind
     literals: tuple[Literal, ...]
@@ -92,7 +94,8 @@ class Formula:
     clauses: list[Clause]
 
     def __post_init__(self):
-        if not isinstance(self.var_count, int) or self.var_count < 0:
+        if (not isinstance(self.var_count, int) or isinstance(self.var_count, bool)
+                or self.var_count < 0):
             raise ValueError(f"variable count must be an integer >= 0, got {self.var_count!r}")
         for i, clause in enumerate(self.clauses):
             for lit in clause.literals:
@@ -127,13 +130,13 @@ class WeightFunction:
         self._pairs: dict[int, tuple[float, float]] = {}
         if pairs:
             for var, (w_neg, w_pos) in pairs.items():
-                if not isinstance(var, int) or var < 1:
+                if not isinstance(var, int) or isinstance(var, bool) or var < 1:
                     raise ValueError(f"variable index must be an integer >= 1, got {var!r}")
                 self._pairs[var] = (_check_weight(w_neg), _check_weight(w_pos))
 
     def set_literal(self, lit: int, weight: float) -> None:
         """Set the weight of one literal (positive lit: the 1-polarity)."""
-        if not isinstance(lit, int) or lit == 0:
+        if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
             raise ValueError(f"literal {lit!r} is not a nonzero integer")
         weight = _check_weight(weight)
         var = abs(lit)
@@ -167,6 +170,7 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
     Accepts a str, bytes, or a file-like object. Raises ParseError, with the
     line number when the fault is on one line, on malformed input. Undecodable
     text gets a line number from bytes or a binary handle, not a text handle.
+    The clauses share one `Literal` object per distinct literal.
     """
     if hasattr(source, "read"):
         try:
@@ -186,6 +190,7 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
     declared_clauses = 0
     clauses: list[Clause] = []
     weights = WeightFunction()
+    literals: dict[int, Literal] = {}
 
     # str.splitlines would also break at form feeds, U+0085, U+2028 and others
     lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -208,7 +213,7 @@ def parse_formula(source) -> tuple[Formula, WeightFunction]:
             elif tokens[0] == "w":
                 _parse_weight_line(tokens, weights, var_count)
             else:
-                clauses.append(_parse_clause_line(tokens, var_count))
+                clauses.append(_parse_clause_line(tokens, var_count, literals))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
 
@@ -246,14 +251,20 @@ def _parse_weight_line(tokens, weights, var_count):
         raise ValueError("malformed weight line")
 
 
-def _parse_clause_line(tokens, var_count) -> Clause:
+def _parse_clause_line(tokens, var_count, literals: dict[int, Literal]) -> Clause:
     kind = ClauseKind.XOR if tokens[0] == "x" else ClauseKind.DISJUNCTION
     if kind is ClauseKind.XOR:
         tokens = tokens[1:]
     if not tokens or tokens[-1] != "0":
         raise ValueError("clause not terminated by 0")
-    return Clause(kind, tuple([Literal.from_int(_literal(token, var_count))
-                               for token in tokens[:-1]]))
+    clause = []
+    for token in tokens[:-1]:
+        lit = _literal(token, var_count)
+        shared = literals.get(lit)
+        if shared is None:
+            shared = literals[lit] = Literal.from_int(lit)
+        clause.append(shared)
+    return Clause(kind, tuple(clause))
 
 
 def format_formula(formula: Formula, weights: WeightFunction) -> str:

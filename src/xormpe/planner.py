@@ -28,9 +28,13 @@ class Heuristic(enum.Enum):
     LEXICOGRAPHIC = "lex"
 
 
-@dataclass
+@dataclass(slots=True)
 class PjtNode:
-    children: list[int]
+    """One tree node: a leaf holds its clause's index and children `()`; an
+    internal node holds a list of child ids and the variables `pi` it
+    projects. `vars` are the variables the node passes up."""
+
+    children: Sequence[int]
     vars: frozenset[int]
     clause_index: int | None = None
     pi: frozenset[int] = frozenset()
@@ -57,7 +61,7 @@ class ProjectJoinTree:
         self.var_count = formula.var_count
         self.clause_count = len(formula.clauses)
         self.nodes: list[PjtNode] = [
-            PjtNode(children=[], vars=clause.variables, clause_index=i)
+            PjtNode(children=(), vars=clause.variables, clause_index=i)
             for i, clause in enumerate(formula.clauses)
         ]
         self.root: int | None = None
@@ -76,24 +80,24 @@ class ProjectJoinTree:
         before parents, children left to right."""
         if self.root is None:
             raise ValueError("tree has no root")
-        result: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        # the reverse of a pre-order that visits children right to left
+        order: list[int] = []
+        stack = [self.root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                result.append(node)
-                continue
-            stack.append((node, True))
-            for child in reversed(self.nodes[node].children):
-                stack.append((child, False))
-        return result
+            node = stack.pop()
+            order.append(node)
+            stack.extend(self.nodes[node].children)
+        order.reverse()
+        return order
 
     def width(self) -> int:
-        """Largest per-node variable count: |vars| at leaves, |vars ∪ pi| at
-        internal nodes."""
+        """Largest per-node variable count |vars ∪ pi| (a leaf's pi is
+        empty). `add_internal` keeps vars and pi disjoint, so the union is
+        built only for a node made otherwise."""
         best = 0
         for node in self.nodes:
-            size = len(node.vars) if node.is_leaf else len(node.vars | node.pi)
+            vars, pi = node.vars, node.pi
+            size = len(vars) + len(pi) if vars.isdisjoint(pi) else len(vars | pi)
             best = max(best, size)
         return best
 

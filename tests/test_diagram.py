@@ -388,6 +388,23 @@ def test_linear_values_out_of_double_range_raise():
             mgr.constant(value)
 
 
+def test_linear_constant_refuses_negative_values():
+    # a negative linear constant was accepted: a join then gave a negative
+    # value, and a projection a range GuardError that named the wrong fault
+    mgr = DiagramManager()
+    for value in (-2.0, -math.inf, -5e-324):
+        with pytest.raises(ValueError, match="outside the value domain"):
+            mgr.constant(value)
+    assert mgr.constant(0.0) == mgr.zero()
+    # log10 takes any finite value, and -inf is its zero
+    log = DiagramManager(log_mode=True)
+    assert log.constant(-2.0).constant_value() == -2.0
+    assert log.constant(-math.inf) == log.zero()
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="outside the value domain"):
+            log.constant(value)
+
+
 def test_no_op_cache_entry_crosses_operations():
     # a join's keys, a projection's pair keys and a fused projection's keys
     # above its variable share one shape, so an entry left by one operation

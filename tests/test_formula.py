@@ -172,7 +172,7 @@ def test_weight_function_rejects_bad_values():
 def test_set_literal_rejects_a_non_integer_literal():
     # -2.5 was stored under key 2.5 and printed as a line that does not reparse
     weights = WeightFunction()
-    for lit in (-2.5, 3.0, "1"):
+    for lit in (-2.5, 3.0, "1", True):
         with pytest.raises(ValueError, match="nonzero integer"):
             weights.set_literal(lit, 3.0)
     assert weights.listed() == []
@@ -187,6 +187,19 @@ def test_format_formula_rejects_weights_beyond_var_count():
     assert parse_formula(text) == (Formula(5, []), weights)
 
 
+def test_parse_shares_one_literal_per_distinct_literal():
+    formula, _ = parse_formula("p cnf 3 4\n1 -2 0\nx -2 3 0\n1 3 -2 0\n-1 0\n")
+    by_int = {}
+    for clause in formula.clauses:
+        for lit in clause.literals:
+            assert by_int.setdefault(lit.to_int(), lit) is lit
+    assert sorted(by_int) == [-2, -1, 1, 3]
+    # a second parse builds its own literals
+    again, _ = parse_formula("p cnf 1 1\n1 0\n")
+    assert again.clauses[0].literals[0] == by_int[1]
+    assert again.clauses[0].literals[0] is not by_int[1]
+
+
 def test_literal_from_int():
     assert Literal.from_int(-3) == Literal(3, False)
     with pytest.raises(ValueError):
@@ -195,9 +208,13 @@ def test_literal_from_int():
 
 @pytest.mark.parametrize("build", [lambda: Literal(1.5, True), lambda: Literal.from_int(-1.5),
                                    lambda: Literal(2.0, False), lambda: Formula(2.5, []),
-                                   lambda: Formula(2.0, [disj(1)])],
+                                   lambda: Formula(2.0, [disj(1)]),
+                                   lambda: Literal(True, True), lambda: Literal.from_int(True),
+                                   lambda: Formula(True, []),
+                                   lambda: WeightFunction({True: (1.0, 2.0)})],
                          ids=["literal", "from_int", "integral-float", "formula",
-                              "integral-float-count"])
+                              "integral-float-count", "bool-literal", "bool-from_int",
+                              "bool-count", "bool-weight-key"])
 def test_float_indices_are_rejected(build):
     # a float index would reach format_formula and export_wcnf as "1.5"
     with pytest.raises(ValueError, match="must be an integer"):

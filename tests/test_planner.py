@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -9,6 +10,7 @@ from xormpe.benchgen import ChainSpec, gen_chain, gen_random
 from xormpe.formula import Clause, Formula, Literal, WeightFunction
 from xormpe.planner import (
     Heuristic,
+    PjtNode,
     ProjectJoinTree,
     heuristic_order,
     plan,
@@ -341,3 +343,46 @@ def test_post_order_children_first(mixed6, mixed6_tree):
     for index, node in enumerate(mixed6_tree.nodes):
         for child in node.children:
             assert position[child] < position[index]
+
+
+def reference_post_order(tree):
+    """Children left to right, then the node, by recursion."""
+    def visit(index):
+        for child in tree.nodes[index].children:
+            yield from visit(child)
+        yield index
+    return list(visit(tree.root))
+
+
+def planned_corpus_trees():
+    for i, formula in enumerate(itertools.islice(reference_corpus(), 0, None, 3)):
+        heuristic = (Heuristic.MIN_FILL, Heuristic.LEXICOGRAPHIC)[i % 2]
+        yield plan(formula, heuristic_order(formula, heuristic))
+
+
+def test_post_order_matches_recursive_reference(mixed6_tree):
+    trees = [mixed6_tree, *planned_corpus_trees()]
+    assert len(trees) > 100
+    for tree in trees:
+        assert tree.post_order() == reference_post_order(tree)
+    assert mixed6_tree.post_order() == [0, 5, 1, 6, 2, 7, 3, 4, 8, 9]
+
+
+def reference_width(tree):
+    return max((len(node.vars | node.pi) for node in tree.nodes), default=0)
+
+
+def test_width_matches_union_reference(mixed6_tree):
+    for tree in [mixed6_tree, *planned_corpus_trees()]:
+        assert tree.width() == reference_width(tree)
+    # a hand-built node may project variables it also keeps: count each once
+    mixed6_tree.nodes.append(PjtNode(children=[mixed6_tree.root],
+                                     vars=frozenset({1, 2, 3, 4}), pi=frozenset({3, 4, 5})))
+    assert mixed6_tree.width() == reference_width(mixed6_tree) == 5
+
+
+def test_front_end_records_have_no_dict(mixed6_tree):
+    # slotted records: no per-instance dict on any literal, clause or tree node
+    records = [Literal(1, True), disj(1, -2), xor(2, 3), *mixed6_tree.nodes]
+    for record in records:
+        assert not hasattr(record, "__dict__"), record
