@@ -44,6 +44,14 @@ class PjtNode:
         return self.clause_index is not None
 
 
+class MalformedTree(ValueError):
+    """Raised by `post_order`; `node` is the parent at fault, or None."""
+
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
+        self.node = node
+
+
 @dataclass
 class Violation:
     kind: str  # "structure" | "gamma" | "partition" | "descendant"
@@ -77,18 +85,28 @@ class ProjectJoinTree:
 
     def post_order(self) -> list[int]:
         """Ids of the nodes under the root, the root included, children
-        before parents, children left to right."""
-        if self.root is None:
-            raise ValueError("tree has no root")
+        before parents, children left to right. An id outside the arena, or
+        a node reached twice (shared, or on a cycle), raises `MalformedTree`."""
+        nodes, root, count = self.nodes, self.root, len(self.nodes)
+        if root is None or not 0 <= root < count:
+            raise MalformedTree(f"root {root} is not a node id")
         # the reverse of a pre-order that visits children right to left
+        reached = bytearray(count)
+        reached[root] = 1
         order: list[int] = []
-        stack = [self.root]
+        stack = [root]
         while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(self.nodes[node].children)
-        order.reverse()
-        return order
+            index = stack.pop()
+            order.append(index)
+            children = nodes[index].children
+            for child in children:
+                if not 0 <= child < count:
+                    raise MalformedTree(f"node {index} has an out-of-range child", index)
+                if reached[child]:
+                    raise MalformedTree(f"node {child} reached again from node {index}", index)
+                reached[child] = 1
+            stack.extend(children)
+        return order[::-1]
 
     def width(self) -> int:
         """Largest per-node variable count |vars ∪ pi| (a leaf's pi is
@@ -196,74 +214,53 @@ def _cost(adjacency: dict[int, set[int]], var: int, heuristic: Heuristic) -> int
 
 
 def plan(formula: Formula, order: Sequence[int]) -> ProjectJoinTree:
-    """Bucket elimination over integer variables (floats raise TypeError): one
-    internal node per eliminated variable, plus a final root that joins the
-    leftover subtrees and carries the variables that occur in no clause."""
+    """Bucket elimination over integer variables (floats raise TypeError):
+    each subtree waits in the bucket of its first variable in `order`; each
+    nonempty bucket becomes a node projecting that variable, and the last
+    bucket the root, projecting the variables whose bucket stayed empty.
+    Buckets fill in ascending id order, so children lists come out sorted."""
     order = [operator.index(x) for x in order]
     if sorted(order) != list(formula.variables):
         raise ValueError("order is not a permutation of the formula variables")
 
     tree = ProjectJoinTree(formula)
-    active: dict[int, frozenset[int]] = {
-        i: tree.nodes[i].vars for i in range(tree.clause_count)
-    }
-    by_var: dict[int, set[int]] = {v: set() for v in formula.variables}
-    for subtree, variables in active.items():
-        for v in variables:
-            by_var[v].add(subtree)
-
-    unused: list[int] = []
-    for x in order:
-        holders = sorted(by_var[x])
-        if not holders:
-            unused.append(x)
-            continue
-        node = tree.add_internal(holders, {x})
-        for subtree in holders:
-            for v in active.pop(subtree):
-                by_var[v].discard(subtree)
-        active[node] = tree.nodes[node].vars
-        for v in active[node]:
-            by_var[v].add(node)
-
-    tree.root = tree.add_internal(sorted(active), unused)
+    position = {x: i for i, x in enumerate(order)}
+    rank, nodes, end = position.__getitem__, tree.nodes, len(order)
+    buckets: list[list[int]] = [[] for _ in range(end + 1)]
+    for node in range(tree.clause_count):
+        buckets[min(map(rank, nodes[node].vars), default=end)].append(node)
+    for x, bucket in zip(order, buckets):
+        if bucket:
+            node = tree.add_internal(bucket, {x})
+            buckets[min(map(rank, nodes[node].vars), default=end)].append(node)
+    unused = [x for x, bucket in zip(order, buckets) if not bucket]
+    tree.root = tree.add_internal(buckets[-1], unused)
     return tree
 
 
 def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
     """Check the tree against the formula; None when valid, else the first
-    violation found."""
-    if tree.root is None or not (0 <= tree.root < len(tree.nodes)):
-        return Violation("structure", "missing or out-of-range root")
+    violation, one check after another, nodes in pre-order. `post_order()`
+    is the one walk: its `MalformedTree` is a "structure" violation."""
+    try:
+        order = tree.post_order()
+    except MalformedTree as exc:
+        return Violation("structure", str(exc), node=exc.node)
 
-    reached: list[int] = []
-    seen: set[int] = set()
-    stack = [tree.root]
-    while stack:
-        index = stack.pop()
-        if index in seen:
-            return Violation("structure", f"node {index} reached twice", node=index)
-        seen.add(index)
-        reached.append(index)
+    clause_indices: list[int] = []
+    for index in reversed(order):
         node = tree.nodes[index]
-        if node.is_leaf and node.children:
-            return Violation("structure", f"leaf {index} has children", node=index)
-        if not node.is_leaf and not node.children and index != tree.root:
+        if node.is_leaf:
+            if node.children:
+                return Violation("structure", f"leaf {index} has children", node=index)
+            clause_indices.append(node.clause_index)
+        elif not node.children and index != tree.root:
             return Violation("structure", f"internal node {index} has no children", node=index)
-        if any(not 0 <= child < len(tree.nodes) for child in node.children):
-            return Violation("structure", f"node {index} has an out-of-range child", node=index)
-        stack.extend(node.children)
-
-    leaves = [i for i in reached if tree.nodes[i].is_leaf]
-    clause_indices = sorted(tree.nodes[i].clause_index for i in leaves)
-    if clause_indices != list(range(len(formula.clauses))):
+    if sorted(clause_indices) != list(range(len(formula.clauses))):
         return Violation("gamma", "leaves do not biject the clauses")
-    if len(formula.clauses) > 0 and not tree.nodes[tree.root].is_leaf \
-            and not tree.nodes[tree.root].children:
-        return Violation("structure", "childless root over a nonempty clause set")
 
     assigned: dict[int, int] = {}
-    for index in reached:
+    for index in reversed(order):
         node = tree.nodes[index]
         if node.is_leaf:
             continue
@@ -290,13 +287,13 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
     position: dict[int, int] = {}
     first: dict[int, int] = {}
     leaf_position: dict[int, int] = {}
-    for at, index in enumerate(tree.post_order()):
+    for at, index in enumerate(order):
         node = tree.nodes[index]
         position[index] = at
         first[index] = first[node.children[0]] if node.children else at
         if node.is_leaf:
             leaf_position[node.clause_index] = at
-    for index in reached:
+    for index in reversed(order):
         node = tree.nodes[index]
         if node.is_leaf:
             continue

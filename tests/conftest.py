@@ -1,3 +1,4 @@
+import operator
 from contextlib import contextmanager
 from functools import cache, partial
 
@@ -105,6 +106,34 @@ def reference_order(formula, heuristic):
                     adjacency[v].add(u)
         order.append(chosen)
     return order
+
+
+def reference_plan(formula, order):
+    """The tree plan must match, built the way plan used to build it: keep
+    every active subtree's variables and an index from each variable to the
+    subtrees holding it; eliminating x joins its holders, in id order."""
+    order = [operator.index(x) for x in order]
+    tree = ProjectJoinTree(formula)
+    active = {i: tree.nodes[i].vars for i in range(tree.clause_count)}
+    by_var = {v: set() for v in formula.variables}
+    for subtree, variables in active.items():
+        for v in variables:
+            by_var[v].add(subtree)
+    unused = []
+    for x in order:
+        holders = sorted(by_var[x])
+        if not holders:
+            unused.append(x)
+            continue
+        node = tree.add_internal(holders, {x})
+        for subtree in holders:
+            for v in active.pop(subtree):
+                by_var[v].discard(subtree)
+        active[node] = tree.nodes[node].vars
+        for v in active[node]:
+            by_var[v].add(node)
+    tree.root = tree.add_internal(sorted(active), unused)
+    return tree
 
 
 def _fill_cost(adjacency, var):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from xormpe import planner
 from xormpe.benchgen import ChainSpec, gen_chain, gen_random
+from xormpe.executor import count, solve
 from xormpe.formula import Clause, Formula, Literal, WeightFunction
 from xormpe.planner import (
     Heuristic,
@@ -18,7 +20,13 @@ from xormpe.planner import (
     validate,
 )
 
-from conftest import disj, reference_descendant_violation, reference_order, xor
+from conftest import (
+    disj,
+    reference_descendant_violation,
+    reference_order,
+    reference_plan,
+    xor,
+)
 
 
 def test_mixed6_tree_is_valid(mixed6, mixed6_tree):
@@ -57,6 +65,38 @@ def test_validate_reports_an_out_of_range_child(mixed6, mixed6_tree, child):
     assert violation is not None
     assert violation.kind == "structure"
     assert violation.node == mixed6_tree.root
+
+
+def make_cycle(tree):
+    # node 5 lists node 7, its own parent
+    tree.nodes[5].children.append(7)
+
+
+def share_leaf(tree):
+    # leaf 2 is also a child of node 6; the walk meets node 6 second
+    tree.nodes[6].children.append(2)
+
+
+@pytest.mark.parametrize("malform, parent", [
+    (make_cycle, 5),
+    (share_leaf, 6),
+    (lambda tree: tree.nodes[6].children.append(-1), 6),
+    (lambda tree: tree.nodes[6].children.append(len(tree.nodes)), 6),
+    (lambda tree: setattr(tree, "root", -1), None),
+], ids=["cycle", "shared-node", "child-minus-one", "child-past-the-end", "root-minus-one"])
+def test_malformed_trees_are_refused(mixed6, mixed6_tree, unit_weights, malform, parent):
+    # an unchecked walk never ends on the cycle, nor on the child -1, which
+    # wraps to the root; a child past the end would raise IndexError
+    malform(mixed6_tree)
+    violation = validate(mixed6_tree, mixed6)
+    assert violation.kind == "structure"
+    assert violation.node == parent
+    for run in (solve, count):
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            run(mixed6, unit_weights, mixed6_tree)
+        assert time.perf_counter() - started < 1
+        assert str(info.value) == violation.message
 
 
 def test_primal_graph_chain():
@@ -125,6 +165,19 @@ def reference_corpus():
 def test_orders_match_reference(heuristic):
     for formula in reference_corpus():
         assert heuristic_order(formula, heuristic) == reference_order(formula, heuristic)
+
+
+def test_plans_match_holder_index_reference():
+    # every heuristic's order, and two seeded shuffles, per formula
+    for i, formula in enumerate(reference_corpus()):
+        orders = [heuristic_order(formula, heuristic) for heuristic in Heuristic]
+        for seed in (2 * i, 2 * i + 1):
+            order = list(formula.variables)
+            random.Random(seed).shuffle(order)
+            orders.append(order)
+        for order in orders:
+            assert plan(formula, order).to_jt_text() == \
+                reference_plan(formula, order).to_jt_text()
 
 
 @pytest.mark.parametrize("heuristic", [Heuristic.MIN_DEGREE, Heuristic.MIN_FILL])
