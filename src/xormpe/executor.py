@@ -38,7 +38,7 @@ from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
 from .formula import Assignment, Formula, WeightFunction, evaluate_formula, evaluate_weight
 from .oracle import brute_solve
-from .planner import ProjectJoinTree
+from .planner import ProjectJoinTree, gamma_fault
 
 VERIFY_LIMIT = 16
 _RTOL = 1e-9  # relative tolerance of the checkpoints' comparisons with the enumeration
@@ -124,7 +124,8 @@ def valuate(
     tree: ProjectJoinTree,
     weights: WeightFunction,
     stack: list[DerivativeSign] | None = None,
-    project: Callable[[Function, int, float, float], Function] | None = None,
+    project: Callable[[Function, int, float, float, Function | None,
+                       list[DerivativeSign] | None], Function] | None = None,
     observer: Observer | None = None,
 ) -> Function:
     """Valuation of the tree's root, children before parents in one pass
@@ -134,28 +135,28 @@ def valuate(
     linear-domain weights: `manager.exists_project` by default,
     `manager.add_project` to count. `observer` receives every step.
 
-    The same pass checks the two facts of a valid tree that a wrong answer
-    would hide: it must meet every clause's leaf and project every formula
-    variable, each exactly once; if not, it raises ValueError."""
+    Leaf i is clause i. A tree that would give a wrong answer raises
+    ValueError: `post_order` and `gamma_fault` refuse it before any work,
+    the pass on a variable projected twice, out of range or never."""
+    order = tree.post_order()
+    fault = gamma_fault(tree, formula, order)
+    if fault is not None:
+        raise ValueError(fault)
     if project is None:
         project = manager.exists_project
     if observer is None:
         observer = Observer()
     observer.setup(manager)
     values: dict[int, Function] = {}
-    clauses: set[int] = set()
     projected: set[int] = set()
-    for node_id in tree.post_order():
-        pjt_node = tree.nodes[node_id]
-        if pjt_node.is_leaf:
-            if pjt_node.clause_index in clauses:
-                raise ValueError(f"tree meets clause {pjt_node.clause_index} twice")
-            clauses.add(pjt_node.clause_index)
-            f = manager.from_clause(formula.clauses[pjt_node.clause_index])
+    for node_id in order:
+        if node_id < tree.clause_count:
+            f = manager.from_clause(formula.clauses[node_id])
         else:
+            pjt_node = tree.nodes[node_id]
             # every function met here depends only on vars and pi, which are disjoint
             _allow_recursion(len(pjt_node.vars) + len(pjt_node.pi))
-            # only a clause-free formula has a childless node: its root
+            # post_order lets only the root go childless: a clause-free formula's
             children = pjt_node.children
             f = values.pop(children[0]) if children else manager.one()
             # the last child is fused into the first projection, if any
@@ -175,11 +176,9 @@ def valuate(
                 observer.projected(node_id, x, h, previous, f, stack[-1] if stack else None)
         observer.exit(node_id, f)
         values[node_id] = f
-    for what, met, items in (("clause", clauses, range(len(formula.clauses))),
-                             ("variable", projected, formula.variables)):
-        if len(met) < len(items):
-            missing = next(item for item in items if item not in met)
-            raise ValueError(f"tree leaves out {what} {missing}")
+    if len(projected) < formula.var_count:
+        missing = next(x for x in formula.variables if x not in projected)
+        raise ValueError(f"tree leaves out variable {missing}")
     return f
 
 

@@ -30,22 +30,19 @@ class Heuristic(enum.Enum):
 
 @dataclass(slots=True)
 class PjtNode:
-    """One tree node: a leaf holds its clause's index and children `()`; an
-    internal node holds a list of child ids and the variables `pi` it
-    projects. `vars` are the variables the node passes up."""
+    """One tree node; its id says which kind. Node i below the tree's
+    `clause_count` is clause i's leaf, with children `()`; any other node
+    holds a list of child ids and the variables `pi` it projects. `vars` are
+    the variables the node passes up."""
 
     children: Sequence[int]
     vars: frozenset[int]
-    clause_index: int | None = None
     pi: frozenset[int] = frozenset()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.clause_index is not None
 
 
 class MalformedTree(ValueError):
-    """Raised by `post_order`; `node` is the parent at fault, or None."""
+    """Raised by `post_order`; `node` is the node at fault (the parent of a
+    bad child id), or None."""
 
     def __init__(self, message: str, node: int | None = None):
         super().__init__(message)
@@ -62,15 +59,14 @@ class Violation:
 
 
 class ProjectJoinTree:
-    """Arena-backed rooted tree; leaves are created up front, one per clause,
-    in clause order (ids 0..m-1). Internal nodes are appended afterwards."""
+    """Arena-backed rooted tree; leaves are created up front, leaf i for
+    clause i (ids 0..m-1). Internal nodes are appended afterwards."""
 
     def __init__(self, formula: Formula):
         self.var_count = formula.var_count
         self.clause_count = len(formula.clauses)
         self.nodes: list[PjtNode] = [
-            PjtNode(children=(), vars=clause.variables, clause_index=i)
-            for i, clause in enumerate(formula.clauses)
+            PjtNode(children=(), vars=clause.variables) for clause in formula.clauses
         ]
         self.root: int | None = None
 
@@ -85,9 +81,10 @@ class ProjectJoinTree:
 
     def post_order(self) -> list[int]:
         """Ids of the nodes under the root, the root included, children
-        before parents, children left to right. An id outside the arena, or
-        a node reached twice (shared, or on a cycle), raises `MalformedTree`."""
-        nodes, root, count = self.nodes, self.root, len(self.nodes)
+        before parents, children left to right. It holds every shape check:
+        an id outside the arena, a node reached twice (shared, or on a cycle),
+        a leaf with children or a childless non-root node raises `MalformedTree`."""
+        nodes, root, count, leaves = self.nodes, self.root, len(self.nodes), self.clause_count
         if root is None or not 0 <= root < count:
             raise MalformedTree(f"root {root} is not a node id")
         # the reverse of a pre-order that visits children right to left
@@ -99,6 +96,12 @@ class ProjectJoinTree:
             index = stack.pop()
             order.append(index)
             children = nodes[index].children
+            if not children:
+                if index >= leaves and index != root:
+                    raise MalformedTree(f"internal node {index} has no children", index)
+                continue
+            if index < leaves:
+                raise MalformedTree(f"leaf {index} has children", index)
             for child in children:
                 if not 0 <= child < count:
                     raise MalformedTree(f"node {index} has an out-of-range child", index)
@@ -238,6 +241,18 @@ def plan(formula: Formula, order: Sequence[int]) -> ProjectJoinTree:
     return tree
 
 
+def gamma_fault(tree: ProjectJoinTree, formula: Formula, order: list[int]) -> str | None:
+    """The gamma fact, given the tree's post-order (each id at most once):
+    leaf i is clause i, so the tree needs one leaf per clause, all under the
+    root. None when it holds, else the message `validate` and `valuate` give."""
+    m = len(formula.clauses)
+    if tree.clause_count != m:
+        return f"tree has {tree.clause_count} leaves for {m} clauses"
+    if sum(index < m for index in order) < m:
+        return f"tree leaves out clause {min(set(range(m)).difference(order))}"
+    return None
+
+
 def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
     """Check the tree against the formula; None when valid, else the first
     violation, one check after another, nodes in pre-order. `post_order()`
@@ -247,24 +262,14 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
     except MalformedTree as exc:
         return Violation("structure", str(exc), node=exc.node)
 
-    clause_indices: list[int] = []
-    for index in reversed(order):
-        node = tree.nodes[index]
-        if node.is_leaf:
-            if node.children:
-                return Violation("structure", f"leaf {index} has children", node=index)
-            clause_indices.append(node.clause_index)
-        elif not node.children and index != tree.root:
-            return Violation("structure", f"internal node {index} has no children", node=index)
-    if sorted(clause_indices) != list(range(len(formula.clauses))):
-        return Violation("gamma", "leaves do not biject the clauses")
+    fault = gamma_fault(tree, formula, order)
+    if fault is not None:
+        return Violation("gamma", fault)
 
+    internal = [index for index in reversed(order) if index >= tree.clause_count]
     assigned: dict[int, int] = {}
-    for index in reversed(order):
-        node = tree.nodes[index]
-        if node.is_leaf:
-            continue
-        for x in node.pi:
+    for index in internal:
+        for x in tree.nodes[index].pi:
             if x < 1 or x > formula.var_count:
                 return Violation("partition", f"projected variable {x} out of range",
                                  node=index, variable=x)
@@ -283,23 +288,18 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
         for v in clause.variables:
             clauses_of_var[v].append(c)
 
-    # a subtree is a run of the post-order ending at its root: "below" is a range test
+    # a subtree is a run of the post-order ending at its root, and clause c's
+    # leaf is node c, in the order since gamma holds: "below" is a range test
     position: dict[int, int] = {}
     first: dict[int, int] = {}
-    leaf_position: dict[int, int] = {}
     for at, index in enumerate(order):
-        node = tree.nodes[index]
+        children = tree.nodes[index].children
         position[index] = at
-        first[index] = first[node.children[0]] if node.children else at
-        if node.is_leaf:
-            leaf_position[node.clause_index] = at
-    for index in reversed(order):
-        node = tree.nodes[index]
-        if node.is_leaf:
-            continue
-        for x in sorted(node.pi):
+        first[index] = first[children[0]] if children else at
+    for index in internal:
+        for x in sorted(tree.nodes[index].pi):
             for c in clauses_of_var[x]:
-                if not first[index] <= leaf_position[c] <= position[index]:
+                if not first[index] <= position[c] <= position[index]:
                     return Violation(
                         "descendant",
                         f"clause {c} uses variable {x} but is not below node {index}",

@@ -165,8 +165,8 @@ def reference_descendant_violation(tree, formula):
     descendant_clauses = {}
     for index in tree.post_order():
         node = tree.nodes[index]
-        if node.is_leaf:
-            descendant_clauses[index] = {node.clause_index}
+        if index < tree.clause_count:
+            descendant_clauses[index] = {index}
         else:
             bag = set()
             for child in node.children:
@@ -174,7 +174,7 @@ def reference_descendant_violation(tree, formula):
             descendant_clauses[index] = bag
     for index in reached:
         node = tree.nodes[index]
-        if node.is_leaf:
+        if index < tree.clause_count:
             continue
         for x in sorted(node.pi):
             for c in clauses_of_var[x]:

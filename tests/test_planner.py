@@ -77,16 +77,31 @@ def share_leaf(tree):
     tree.nodes[6].children.append(2)
 
 
+def leaf_under_leaf(tree):
+    # leaf 2 leaves node 7 for leaf 1
+    tree.nodes[7].children.remove(2)
+    tree.nodes[1].children = [2]
+
+
+def childless_under_root(tree):
+    tree.nodes[tree.root].children.append(tree.add_internal([], ()))
+
+
 @pytest.mark.parametrize("malform, parent", [
     (make_cycle, 5),
     (share_leaf, 6),
     (lambda tree: tree.nodes[6].children.append(-1), 6),
     (lambda tree: tree.nodes[6].children.append(len(tree.nodes)), 6),
     (lambda tree: setattr(tree, "root", -1), None),
-], ids=["cycle", "shared-node", "child-minus-one", "child-past-the-end", "root-minus-one"])
+    (leaf_under_leaf, 1),
+    (childless_under_root, 10),
+], ids=["cycle", "shared-node", "child-minus-one", "child-past-the-end", "root-minus-one",
+        "leaf-with-children", "internal-node-without-children"])
 def test_malformed_trees_are_refused(mixed6, mixed6_tree, unit_weights, malform, parent):
     # an unchecked walk never ends on the cycle, nor on the child -1, which
-    # wraps to the root; a child past the end would raise IndexError
+    # wraps to the root; a child past the end would raise IndexError; with
+    # leaf 2 under leaf 1, a walk that ignores a leaf's children counts 12.0,
+    # not 8.0
     malform(mixed6_tree)
     violation = validate(mixed6_tree, mixed6)
     assert violation.kind == "structure"
@@ -96,6 +111,32 @@ def test_malformed_trees_are_refused(mixed6, mixed6_tree, unit_weights, malform,
         with pytest.raises(ValueError) as info:
             run(mixed6, unit_weights, mixed6_tree)
         assert time.perf_counter() - started < 1
+        assert str(info.value) == violation.message
+
+
+def drop_leaf_two(formula):
+    tree = plan(formula, formula.variables)
+    for node in tree.nodes:
+        if 2 in node.children:
+            node.children.remove(2)
+    return tree
+
+
+@pytest.mark.parametrize("planned_tree", [
+    lambda formula: plan(Formula(6, [*formula.clauses, disj(2, 6)]), formula.variables),
+    lambda formula: plan(Formula(6, formula.clauses[:-1]), formula.variables),
+    drop_leaf_two,
+], ids=["one-clause-more", "one-clause-fewer", "leaf-left-out"])
+def test_trees_without_one_leaf_per_clause_are_refused(mixed6, unit_weights, planned_tree):
+    # leaf i is clause i: a tree planned for another formula has a leaf too
+    # many or too few, and a dropped leaf leaves its clause out; validate and
+    # valuate name the fault alike
+    tree = planned_tree(mixed6)
+    violation = validate(tree, mixed6)
+    assert violation.kind == "gamma"
+    for run in (solve, count):
+        with pytest.raises(ValueError) as info:
+            run(mixed6, unit_weights, tree)
         assert str(info.value) == violation.message
 
 
@@ -300,8 +341,8 @@ def test_plan_always_validates_randomized():
 
 
 def mutate_drop_pi_var(tree):
-    for node in tree.nodes:
-        if not node.is_leaf and node.pi:
+    for index, node in enumerate(tree.nodes):
+        if index >= tree.clause_count and node.pi:
             node.pi = frozenset(sorted(node.pi)[1:])
             return True
     return False
@@ -309,14 +350,14 @@ def mutate_drop_pi_var(tree):
 
 def mutate_duplicate_pi_var(tree):
     source = None
-    for node in tree.nodes:
-        if not node.is_leaf and node.pi:
+    for index, node in enumerate(tree.nodes):
+        if index >= tree.clause_count and node.pi:
             source = min(node.pi)
             break
     if source is None:
         return False
-    for node in tree.nodes:
-        if not node.is_leaf and source not in node.pi:
+    for index, node in enumerate(tree.nodes):
+        if index >= tree.clause_count and source not in node.pi:
             node.pi = node.pi | {source}
             return True
     return False
@@ -326,9 +367,9 @@ def mutate_reparent_leaf(tree):
     # lift a leaf from under its projecting ancestor to directly under the root
     root = tree.nodes[tree.root]
     for index, node in enumerate(tree.nodes):
-        if node.is_leaf or index == tree.root:
+        if index < tree.clause_count or index == tree.root:
             continue
-        leaf_children = [c for c in node.children if tree.nodes[c].is_leaf
+        leaf_children = [c for c in node.children if c < tree.clause_count
                          and tree.nodes[c].vars & node.pi]
         if leaf_children and len(node.children) > 1:
             leaf = leaf_children[0]
