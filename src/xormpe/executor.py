@@ -38,7 +38,7 @@ from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
 from .formula import Assignment, Formula, WeightFunction, evaluate_formula, evaluate_weight
 from .oracle import brute_solve
-from .planner import ProjectJoinTree, gamma_fault
+from .planner import ProjectJoinTree, validate
 
 VERIFY_LIMIT = 16
 _RTOL = 1e-9  # relative tolerance of the checkpoints' comparisons with the enumeration
@@ -135,20 +135,18 @@ def valuate(
     linear-domain weights: `manager.exists_project` by default,
     `manager.add_project` to count. `observer` receives every step.
 
-    Leaf i is clause i. A tree that would give a wrong answer raises
-    ValueError: `post_order` and `gamma_fault` refuse it before any work,
-    the pass on a variable projected twice, out of range or never."""
+    Leaf i is clause i. Before any work, a tree `validate` refuses raises
+    ValueError with its message: a `MalformedTree` for a bad shape."""
     order = tree.post_order()
-    fault = gamma_fault(tree, formula, order)
-    if fault is not None:
-        raise ValueError(fault)
+    violation = validate(tree, formula)
+    if violation is not None:
+        raise ValueError(violation.message)
     if project is None:
         project = manager.exists_project
     if observer is None:
         observer = Observer()
     observer.setup(manager)
     values: dict[int, Function] = {}
-    projected: set[int] = set()
     for node_id in order:
         if node_id < tree.clause_count:
             f = manager.from_clause(formula.clauses[node_id])
@@ -166,19 +164,12 @@ def valuate(
                 previous, f = f, manager.join(f, h)
                 observer.child_joined(node_id, h, previous, f)
             for x in sorted(pjt_node.pi):
-                if x in projected or not 0 < x <= formula.var_count:
-                    raise ValueError(f"tree projects variable {x} twice or outside "
-                                     f"1..{formula.var_count}")
-                projected.add(x)
                 # the sign covers every remaining factor depending on x: f, h and x's weights
                 h, fused = fused, None
                 previous, f = f, project(f, x, *weights.pair(x), h, stack)
                 observer.projected(node_id, x, h, previous, f, stack[-1] if stack else None)
         observer.exit(node_id, f)
         values[node_id] = f
-    if len(projected) < formula.var_count:
-        missing = next(x for x in formula.variables if x not in projected)
-        raise ValueError(f"tree leaves out variable {missing}")
     return f
 
 
@@ -206,7 +197,7 @@ def solve(
     maximum = _root_value(root)
     observer.after_valuate(maximum)
 
-    # valuate saw every variable projected once: the stack holds one sign each
+    # valuate validated the tree, so it projects each variable once: one sign each
     maximizer: dict[int, bool] = {}
     while stack:
         sign = stack.pop()

@@ -1,10 +1,13 @@
 """Project-join trees and elimination-order planning.
 
 A project-join tree pairs every clause with a leaf and assigns each internal
-node a set of variables to project away. A tree is valid when (1) the
-projected sets partition the formula's variables and (2) every clause that
-mentions a projected variable sits below the node projecting it. The width of
-a tree bounds how many variables any single execution step must juggle.
+node a set of variables to project away. A tree is valid when (1) it is a
+tree: every node under the root reached once, leaves childless, internal nodes
+childless only at the root; (2) it has one leaf per clause, each under the
+root; (3) the projected sets partition the formula's variables; and (4) every
+clause that mentions a projected variable sits below the node projecting it.
+`validate` is the one check of all four. The width of a tree bounds how many
+variables any single execution step must juggle.
 
 Trees are built by bucket elimination over a variable order; orders come from
 greedy heuristics on the primal graph (variables adjacent when they share a
@@ -241,67 +244,64 @@ def plan(formula: Formula, order: Sequence[int]) -> ProjectJoinTree:
     return tree
 
 
-def gamma_fault(tree: ProjectJoinTree, formula: Formula, order: list[int]) -> str | None:
-    """The gamma fact, given the tree's post-order (each id at most once):
-    leaf i is clause i, so the tree needs one leaf per clause, all under the
-    root. None when it holds, else the message `validate` and `valuate` give."""
-    m = len(formula.clauses)
-    if tree.clause_count != m:
-        return f"tree has {tree.clause_count} leaves for {m} clauses"
-    if sum(index < m for index in order) < m:
-        return f"tree leaves out clause {min(set(range(m)).difference(order))}"
-    return None
-
-
 def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
     """Check the tree against the formula; None when valid, else the first
-    violation, one check after another, nodes in pre-order. `post_order()`
-    is the one walk: its `MalformedTree` is a "structure" violation."""
+    violation, one check after another: shape, one leaf per clause, the
+    partition (nodes in pre-order), the descendant condition (nodes in
+    pre-order, then variables, then clauses, ascending). `post_order()` is the
+    one walk: its `MalformedTree` is a "structure" violation. `valuate`, and
+    so `solve` and `count`, refuse a tree this refuses, with its message."""
     try:
         order = tree.post_order()
     except MalformedTree as exc:
         return Violation("structure", str(exc), node=exc.node)
 
-    fault = gamma_fault(tree, formula, order)
-    if fault is not None:
-        return Violation("gamma", fault)
+    # leaf i is clause i, and the post-order holds each id at most once
+    nodes, m = tree.nodes, len(formula.clauses)
+    if tree.clause_count != m:
+        return Violation("gamma", f"tree has {tree.clause_count} leaves for {m} clauses")
+    if sum(index < m for index in order) < m:
+        return Violation("gamma", f"tree leaves out clause {min(set(range(m)).difference(order))}")
 
-    internal = [index for index in reversed(order) if index >= tree.clause_count]
-    assigned: dict[int, int] = {}
-    for index in internal:
-        for x in tree.nodes[index].pi:
+    projector: dict[int, int] = {}
+    for index in reversed(order):
+        if index < m:
+            continue
+        for x in nodes[index].pi:
             if x < 1 or x > formula.var_count:
                 return Violation("partition", f"projected variable {x} out of range",
                                  node=index, variable=x)
-            if x in assigned:
+            if x in projector:
                 return Violation(
                     "partition",
-                    f"variable {x} projected at both node {assigned[x]} and node {index}",
+                    f"tree projects variable {x} twice, at node {projector[x]} and node {index}",
                     node=index, variable=x)
-            assigned[x] = index
+            projector[x] = index
     for x in formula.variables:
-        if x not in assigned:
+        if x not in projector:
             return Violation("partition", f"variable {x} is never projected", variable=x)
 
-    clauses_of_var: dict[int, list[int]] = {v: [] for v in formula.variables}
-    for c, clause in enumerate(formula.clauses):
-        for v in clause.variables:
-            clauses_of_var[v].append(c)
-
     # a subtree is a run of the post-order ending at its root, and clause c's
-    # leaf is node c, in the order since gamma holds: "below" is a range test
-    position: dict[int, int] = {}
-    first: dict[int, int] = {}
+    # leaf is node c, in the order since gamma holds: "below" is a range test.
+    # Nodes in pre-order are by descending position, so the first violation
+    # is the least (-position[node], x, c)
+    position = [0] * len(nodes)
+    first = [0] * len(nodes)
     for at, index in enumerate(order):
-        children = tree.nodes[index].children
+        children = nodes[index].children
         position[index] = at
         first[index] = first[children[0]] if children else at
-    for index in internal:
-        for x in sorted(tree.nodes[index].pi):
-            for c in clauses_of_var[x]:
-                if not first[index] <= position[c] <= position[index]:
-                    return Violation(
-                        "descendant",
-                        f"clause {c} uses variable {x} but is not below node {index}",
-                        node=index, variable=x, clause=c)
-    return None
+    least = None
+    for c, clause in enumerate(formula.clauses):
+        at = position[c]
+        for literal in clause.literals:
+            node = projector[literal.var]
+            if not first[node] <= at <= position[node]:
+                fault = (-position[node], literal.var, c, node)
+                if least is None or fault < least:
+                    least = fault
+    if least is None:
+        return None
+    _, x, c, node = least
+    return Violation("descendant", f"clause {c} uses variable {x} but is not below node {node}",
+                     node=node, variable=x, clause=c)

@@ -147,11 +147,12 @@ def _fill_cost(adjacency, var):
 
 
 def reference_descendant_violation(tree, formula):
-    """The first descendant violation, found the quadratic way validate
-    used to take: gather the set of every clause below each node, then walk
-    the nodes in validate's reached order, each node's projected variables
-    ascending, each variable's clauses by index. Only for trees that pass
-    validate's structure, gamma and partition checks."""
+    """The first descendant violation, found independently of validate and
+    in quadratic memory: gather the set of every clause below each node,
+    then walk the nodes in pre-order, children right to left as validate
+    does, each node's projected variables ascending, each variable's clauses
+    by index, and return the first clause missing from its node's set. Only
+    for trees that pass validate's structure, gamma and partition checks."""
     reached = []
     stack = [tree.root]
     while stack:

@@ -135,6 +135,22 @@ def test_count_rejects_a_tree_that_projects_a_variable_twice():
         count(formula, weights, tree)
 
 
+def test_count_and_solve_reject_a_clause_outside_its_projecting_node():
+    # x1 is summed out over clause 0 alone, so clause 1 meets a function that
+    # no longer depends on x1: the count would be 1.0, where the WMC is 2.0
+    formula = Formula(2, [xor(1, 2), xor(1, 2)])
+    weights = WeightFunction()
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([tree.add_internal([0], [1]), 1], [2])
+    assert brute_solve(formula, weights).wmc == 2.0
+    violation = validate(tree, formula)
+    assert violation.message == "clause 1 uses variable 1 but is not below node 2"
+    for run in (solve, count):
+        with pytest.raises(ValueError) as info:
+            run(formula, weights, tree)
+        assert str(info.value) == violation.message
+
+
 # -------------------------------------------------------------------- valuate
 
 def test_valuate_root(mixed6, unit_weights, mixed6_tree):

@@ -390,7 +390,7 @@ def test_mutations_are_rejected(mutate, kinds):
     for trial in range(60):
         n = rng.randint(2, 9)
         m = rng.randint(2, 12)
-        formula, _ = gen_random(n, m, rng.randint(1, min(n, 3)), 0.5, 1000 + trial)
+        formula, weights = gen_random(n, m, rng.randint(1, min(n, 3)), 0.5, 1000 + trial)
         order = list(formula.variables)
         rng.shuffle(order)
         tree = plan(formula, order)
@@ -402,6 +402,10 @@ def test_mutations_are_rejected(mutate, kinds):
         assert violation.kind in kinds
         if violation.kind == "descendant":
             assert violation == reference_descendant_violation(tree, formula)
+        for run in (solve, count):
+            with pytest.raises(ValueError) as info:
+                run(formula, weights, tree)
+            assert str(info.value) == violation.message
     assert applied >= 10
 
 
