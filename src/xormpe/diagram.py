@@ -274,6 +274,8 @@ class DiagramManager:
 
     def _weights(self, var: int, w_neg: float, w_pos: float) -> tuple[float, float]:
         """var's linear-domain weights in the manager's value domain."""
+        if not isinstance(var, int) or isinstance(var, bool):
+            raise ValueError(f"variable index must be an int, got {var!r}")
         if var < 1:
             raise ValueError(f"variable index {var} is not positive")
         if not (0 <= w_neg < math.inf and 0 <= w_pos < math.inf):  # NaN fails both

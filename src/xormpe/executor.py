@@ -154,7 +154,7 @@ def valuate(
             pjt_node = tree.nodes[node_id]
             # every function met here depends only on vars and pi, which are disjoint
             _allow_recursion(len(pjt_node.vars) + len(pjt_node.pi))
-            # post_order lets only the root go childless: a clause-free formula's
+            # only the root may be childless (post_order), and only with no clauses (validate)
             children = pjt_node.children
             f = values.pop(children[0]) if children else manager.one()
             # the last child is fused into the first projection, if any

@@ -268,8 +268,10 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
         if index < m:
             continue
         for x in nodes[index].pi:
-            if x < 1 or x > formula.var_count:
-                return Violation("partition", f"projected variable {x} out of range",
+            # a bool is an int, and 1.0 == 1, but neither is a variable index
+            if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= formula.var_count:
+                return Violation("partition",
+                                 f"projected variable {x!r} is not an int in 1..{formula.var_count}",
                                  node=index, variable=x)
             if x in projector:
                 return Violation(

@@ -5,12 +5,13 @@ w becomes a soft unit clause with integer weight round(K * ln w), K
 configurable. Maximizing the satisfied soft weight over hard-clause models
 then recovers the maximum-weight assignment, up to rounding of near-ties.
 
-Xor clauses are rewritten into disjunctive hard clauses by introducing chain
-variables: each xor of length p >= 4 splits into p-3 three-way parity links
-plus one final three-way parity, four disjunctive clauses each; lengths 1-3
-encode directly. A literal of weight zero exports as a hard unit excluding
-it instead of a soft clause, since log 0 is undefined and a zero branch can
-never appear in a positive-weight maximizer.
+One rule encodes every xor: a xor of p <= 3 literals becomes the 2^(p-1)
+disjunctive hard clauses that each exclude one assignment of the wrong
+parity. A longer xor chains through aux variables, one link t = a xor b (the
+rule on a, b, t with even parity) per step, until three literals remain. A
+literal of weight zero exports as a hard unit excluding it instead of a soft
+clause, since log 0 is undefined and a zero branch can never appear in a
+positive-weight maximizer.
 
 Note: weights below 1 produce nonpositive soft weights, which follows the
 log-scaling rule literally but steps outside the classic wcnf convention;
@@ -19,10 +20,11 @@ feed weights above 1 when a third-party MaxSAT solver must consume the file.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .formula import Clause, ClauseKind, Formula, WeightFunction
+from .formula import ClauseKind, Formula, WeightFunction
 
 DEFAULT_SCALE = 10000
 
@@ -71,33 +73,23 @@ def export_wcnf(formula: Formula, weights: WeightFunction,
 
     hard: list[list[int]] = []
     aux_defs: list[tuple[int, int, int]] = []
-    next_aux = n + 1
     for clause in formula.clauses:
-        if clause.kind is ClauseKind.DISJUNCTION:
-            hard.append([lit.to_int() for lit in clause.literals])
-            continue
         lits = [lit.to_int() for lit in clause.literals]
-        while len(lits) > 3:
-            aux = next_aux
-            next_aux += 1
-            a, b = lits[0], lits[1]
-            aux_defs.append((aux, a, b))
-            hard.extend(_parity3(a, b, aux, odd=False))
-            lits = [aux] + lits[2:]
-        if len(lits) == 1:
+        if clause.kind is ClauseKind.DISJUNCTION:
             hard.append(lits)
-        elif len(lits) == 2:
-            hard.append([lits[0], lits[1]])
-            hard.append([-lits[0], -lits[1]])
-        else:
-            hard.extend(_parity3(*lits, odd=True))
+            continue
+        while len(lits) > 3:
+            aux = n + len(aux_defs) + 1
+            aux_defs.append((aux, lits[0], lits[1]))
+            hard.extend(_parity([lits[0], lits[1], aux], odd=False))
+            lits = [aux] + lits[2:]
+        hard.extend(_parity(lits, odd=True))
     hard.extend(zero_units)
 
-    top = max(1, sum(max(w, 0) for w, _ in soft) + 1)
     return WcnfExport(
         original_var_count=n,
-        aux_count=next_aux - n - 1,
-        top=top,
+        aux_count=len(aux_defs),
+        top=sum(max(w, 0) for w, _ in soft) + 1,
         hard=hard,
         soft=soft,
         pre_tseitin_hard_count=len(formula.clauses),
@@ -106,19 +98,13 @@ def export_wcnf(formula: Formula, weights: WeightFunction,
     )
 
 
-def _parity3(a: int, b: int, c: int, odd: bool) -> list[list[int]]:
-    """Four disjunctive clauses forcing a xor b xor c to the given parity."""
-    clauses = []
-    for sa in (1, -1):
-        for sb in (1, -1):
-            for sc in (1, -1):
-                negations = (sa < 0) + (sb < 0) + (sc < 0)
-                # clause [sa*a, sb*b, sc*c] excludes exactly the assignment
-                # falsifying all three literals, whose parity is `negations`
-                excluded_parity = negations % 2
-                if excluded_parity != (1 if odd else 0):
-                    clauses.append([sa * a, sb * b, sc * c])
-    return clauses
+def _parity(lits: list[int], odd: bool) -> list[list[int]]:
+    """Disjunctive clauses forcing the xor of lits to the given parity. Clause
+    [s * lit ...] excludes exactly the assignment that makes true the literals
+    signed -1, so it is kept when their count has the parity not wanted."""
+    return [[s * lit for s, lit in zip(signs, lits)]
+            for signs in itertools.product((1, -1), repeat=len(lits))
+            if signs.count(-1) % 2 != odd]
 
 
 def format_wcnf(export: WcnfExport) -> str:

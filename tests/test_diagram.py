@@ -817,6 +817,20 @@ def test_nan_weight_is_rejected(any_mgr, weights):
         any_mgr.literal_weight(1, math.inf, 1.0)
 
 
+@pytest.mark.parametrize("var", [1.5, 2.0, True])
+def test_variable_index_that_is_not_an_int_is_rejected(var):
+    # each would otherwise build or eliminate at a level that no Literal can name
+    mgr = DiagramManager()
+    f = mgr.from_clause(disj(1, 2))
+    operations = [lambda: mgr.literal_weight(var, 1.0, 2.0),
+                  lambda: mgr.exists_project(f, var),
+                  lambda: mgr.add_project(f, var),
+                  lambda: mgr.derivative_sign(f, var)]
+    for operation in operations:
+        with pytest.raises(ValueError, match=f"must be an int, got {var!r}"):
+            operation()
+
+
 @pytest.mark.parametrize("var", [0, -1])
 def test_nonpositive_variable_index_is_rejected(var):
     mgr = DiagramManager()

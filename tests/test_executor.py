@@ -151,6 +151,23 @@ def test_count_and_solve_reject_a_clause_outside_its_projecting_node():
         assert str(info.value) == violation.message
 
 
+@pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+def test_count_and_solve_reject_a_projected_variable_that_is_not_an_int(index):
+    # 1.0 and True both equal 1, so the tree would project x1 and the
+    # maximizer would hold the float or bool as a variable
+    formula = Formula(2, [xor(1, 2)])
+    weights = WeightFunction({1: (1, 2)})
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([0], [index, 2])
+    violation = validate(tree, formula)
+    assert violation.kind == "partition"
+    assert violation.message == f"projected variable {index!r} is not an int in 1..2"
+    for run in (solve, count):
+        with pytest.raises(ValueError) as info:
+            run(formula, weights, tree)
+        assert str(info.value) == violation.message
+
+
 # -------------------------------------------------------------------- valuate
 
 def test_valuate_root(mixed6, unit_weights, mixed6_tree):

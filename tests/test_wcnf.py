@@ -108,6 +108,67 @@ def test_format_header_and_lines():
     assert export.top > 46052 + 23026
 
 
+def test_format_pins_clause_order_and_signs():
+    # a disjunction, xors of 1-5 literals with negations (aux 8 = -1 xor 2,
+    # 9 = 3 xor -4, 10 = 9 xor 5) and a zero-weight literal, whose hard unit
+    # comes last among the hard clauses; the soft weights include a negative one
+    formula = Formula(7, [disj(1, -2, 3), xor(-4), xor(2, -5), xor(1, -3, 6),
+                          xor(-1, 2, -6, 7), xor(3, -4, 5, -6, 7)])
+    weights = WeightFunction({1: (2.0, 3.0), 2: (5.0, 1.5), 3: (0.5, 4.0), 4: (2.5, 2.5),
+                              5: (7.0, 1.25), 6: (3.0, 6.0), 7: (0.0, 9.0)})
+    export = export_wcnf(formula, weights)
+    assert export.aux_defs == [(8, -1, 2), (9, 3, -4), (10, 9, 5)]
+    hard = """\
+1 -2 3
+-4
+2 -5
+-2 5
+1 -3 6
+1 3 -6
+-1 -3 -6
+-1 3 6
+-1 2 -8
+-1 -2 8
+1 2 8
+1 -2 -8
+8 -6 7
+8 6 -7
+-8 -6 -7
+-8 6 7
+3 -4 -9
+3 4 9
+-3 -4 9
+-3 4 -9
+9 5 -10
+9 -5 10
+-9 5 10
+-9 -5 -10
+10 -6 7
+10 6 -7
+-10 -6 -7
+-10 6 7
+7
+""".splitlines()
+    soft = """\
+10986 1
+6931 -1
+4055 2
+16094 -2
+13863 3
+-6931 -3
+9163 4
+9163 -4
+2231 5
+19459 -5
+17918 6
+10986 -6
+21972 7
+""".splitlines()
+    expected = (["p wcnf 10 42 142822"] + [f"142822 {line} 0" for line in hard]
+                + [f"{line} 0" for line in soft])
+    assert format_wcnf(export) == "\n".join(expected) + "\n"
+
+
 def test_scale_parameter():
     formula = Formula(1, [disj(1)])
     export = export_wcnf(formula, WeightFunction({1: (10, 100)}), scale=100)
