@@ -9,16 +9,7 @@ maximizing assignment can be reconstructed afterwards.
 from .benchgen import ChainSpec, gen_chain, gen_random
 from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
-from .executor import (
-    CheckpointFailure,
-    Observer,
-    SolveResult,
-    SolveStats,
-    count,
-    solve,
-    valuate,
-    verify_checkpoints,
-)
+from .executor import Observer, SolveResult, SolveStats, count, solve, valuate
 from .formula import (
     Assignment,
     Clause,
@@ -33,7 +24,6 @@ from .formula import (
     format_formula,
     parse_formula,
 )
-from .oracle import OracleResult, brute_solve
 from .planner import (
     Heuristic,
     PjtNode,
@@ -46,6 +36,15 @@ from .planner import (
 from .wcnf import ExportError, WcnfExport, export_wcnf, format_wcnf
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The enumeration oracle loads numpy, so its names load on first use."""
+    if name not in ("CheckpointFailure", "OracleResult", "brute_solve", "verify_checkpoints"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    return getattr(oracle, name)
+
 
 __all__ = [
     "Assignment",

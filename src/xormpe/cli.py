@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import benchgen, executor, oracle, planner, wcnf
+from . import benchgen, executor, planner, wcnf
 from .errors import GuardError, InternalError
 from .formula import ParseError, format_formula, parse_formula
 
@@ -140,7 +140,8 @@ def cmd_solve(args) -> int:
     plan_time = time.perf_counter() - plan_start
 
     if args.verify:
-        failure = executor.verify_checkpoints(formula, weights, tree)
+        from .oracle import verify_checkpoints  # loads numpy
+        failure = verify_checkpoints(formula, weights, tree)
         if failure is not None:
             return _fail(f"checkpoint {failure.checkpoint} failed: {failure.message}", 1)
 
@@ -210,8 +211,9 @@ def _is_satisfiable(formula, weights) -> bool:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import brute_solve  # loads numpy
     formula, weights = _read_instance(args.input)
-    answer = oracle.brute_solve(formula, weights)
+    answer = brute_solve(formula, weights)
     print(f"c WMC {_fmt(answer.wmc)}")
     _emit_answer(answer.maximum, list(answer.witness()))
     return 0

@@ -252,10 +252,15 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
     one walk: its `MalformedTree` is a "structure" violation. `valuate`, and
     so `solve` and `count`, refuse a tree this refuses, with its message."""
     try:
-        order = tree.post_order()
+        checked = _checked_order(tree, formula)
     except MalformedTree as exc:
         return Violation("structure", str(exc), node=exc.node)
+    return checked if isinstance(checked, Violation) else None
 
+
+def _checked_order(tree: ProjectJoinTree, formula: Formula) -> list[int] | Violation:
+    """`validate`'s walk: the post-order, else a violation; a bad shape raises `MalformedTree`."""
+    order = tree.post_order()
     # leaf i is clause i, and the post-order holds each id at most once
     nodes, m = tree.nodes, len(formula.clauses)
     if tree.clause_count != m:
@@ -303,7 +308,7 @@ def validate(tree: ProjectJoinTree, formula: Formula) -> Violation | None:
                 if least is None or fault < least:
                     least = fault
     if least is None:
-        return None
+        return order
     _, x, c, node = least
     return Violation("descendant", f"clause {c} uses variable {x} but is not below node {node}",
                      node=node, variable=x, clause=c)

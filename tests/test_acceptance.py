@@ -11,9 +11,9 @@ import time
 import pytest
 
 from xormpe.benchgen import ChainSpec, gen_chain, gen_random
-from xormpe.executor import count, solve, verify_checkpoints
+from xormpe.executor import count, solve
 from xormpe.formula import WeightFunction, evaluate_formula
-from xormpe.oracle import brute_solve
+from xormpe.oracle import brute_solve, verify_checkpoints
 from xormpe.planner import Heuristic, heuristic_order, plan, validate
 from xormpe.wcnf import export_wcnf
 

@@ -9,8 +9,9 @@ import xormpe
 from xormpe.benchgen import ChainSpec, gen_chain
 from xormpe.cli import main
 from xormpe.diagram import DiagramManager
-from xormpe.executor import Observer, count, solve, verify_checkpoints
+from xormpe.executor import Observer, count, solve
 from xormpe.formula import format_formula, parse_formula
+from xormpe.oracle import verify_checkpoints
 from xormpe.planner import Heuristic, heuristic_order, plan
 
 from conftest import MIXED6_TEXT
@@ -225,6 +226,42 @@ def test_module_form_runs_the_cli(tmp_path, module):
     solved = run_module("solve", "c.xcnf")
     assert solved.returncode == 0
     assert "s MAXIMUM" in solved.stdout
+
+
+NUMPY_FREE_SCRIPT = """
+import sys
+
+import xormpe, xormpe.cli
+
+main = xormpe.cli.main
+assert main(["gen", "chain", "--n", "8", "--k", "3", "--out", "c.xcnf"]) == 0
+for argv in (["solve", "c.xcnf"], ["plan", "c.xcnf"], ["export-wcnf", "c.xcnf"]):
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "the solver path loaded numpy"
+
+names = ["brute_solve", "verify_checkpoints", "OracleResult", "CheckpointFailure"]
+resolved = [getattr(xormpe, name) for name in names]
+assert "numpy" in sys.modules
+assert resolved == [getattr(xormpe.oracle, name) for name in names]
+namespace = {}
+exec("from xormpe import *", namespace)
+assert set(xormpe.__all__) <= set(namespace)
+try:
+    xormpe.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown attribute resolved")
+"""
+
+
+def test_solver_path_loads_no_numpy(tmp_path):
+    # only the enumeration oracle loads numpy; this process has loaded it
+    # already, so a fresh interpreter runs the commands
+    env = {**os.environ, "PYTHONPATH": str(Path(xormpe.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_gen_chain_require_sat(capsys, tmp_path):

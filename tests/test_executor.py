@@ -11,14 +11,8 @@ from xormpe.benchgen import ChainSpec, gen_chain, gen_random
 from xormpe.cli import main
 from xormpe.diagram import DerivativeSign, DiagramManager
 from xormpe.errors import GuardError, InternalError
-from xormpe import executor
-from xormpe.executor import (
-    Observer,
-    count,
-    solve,
-    valuate,
-    verify_checkpoints,
-)
+from xormpe import executor, oracle
+from xormpe.executor import Observer, count, solve, valuate
 from xormpe.formula import (
     Formula,
     WeightFunction,
@@ -26,7 +20,7 @@ from xormpe.formula import (
     evaluate_weight,
     format_formula,
 )
-from xormpe.oracle import brute_solve
+from xormpe.oracle import CheckpointFailure, brute_solve, verify_checkpoints
 from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan, validate
 
 from conftest import FaultyManager, disj, injected_fault, solve_monolithic, xor
@@ -350,6 +344,23 @@ def test_solve_computes_width_once(mixed6, unit_weights, mixed6_tree, monkeypatc
     assert calls == 1
 
 
+def test_solve_and_count_walk_the_tree_once(mixed6, unit_weights, mixed6_tree, monkeypatch):
+    # the walk that checks the tree is the order the valuation follows
+    calls = 0
+    post_order = ProjectJoinTree.post_order
+
+    def counting(tree):
+        nonlocal calls
+        calls += 1
+        return post_order(tree)
+
+    monkeypatch.setattr(ProjectJoinTree, "post_order", counting)
+    solve(mixed6, unit_weights, mixed6_tree)
+    assert calls == 1
+    count(mixed6, unit_weights, mixed6_tree)
+    assert calls == 2
+
+
 def test_solve_joins_once_per_later_child_and_projected_variable(
         mixed6, unit_weights, mixed6_tree, monkeypatch):
     # each internal node starts from its first child and joins the others,
@@ -507,14 +518,14 @@ def test_verify_checks_each_state_once(mixed6, unit_weights, mixed6_tree, monkey
     # once after setup, once per join (2) and once per projection (6), a
     # fused join and projection (at n8 and n9) counting as one projection
     calls = 0
-    check = executor._Verifier._check_active
+    check = oracle._Verifier._check_active
 
     def counting(verifier, *args, **kwargs):
         nonlocal calls
         calls += 1
         return check(verifier, *args, **kwargs)
 
-    monkeypatch.setattr(executor._Verifier, "_check_active", counting)
+    monkeypatch.setattr(oracle._Verifier, "_check_active", counting)
     assert verify_checkpoints(mixed6, unit_weights, mixed6_tree) is None
     assert calls == 9
 
@@ -530,8 +541,10 @@ def test_fault_skip_weight_caught_at_project_condition():
     weights = WeightFunction({1: (10, 100)})
     with injected_fault("skip_weight_join"):
         failure = verify_checkpoints(formula, weights, plan_for(formula))
-    assert failure is not None
-    assert failure.checkpoint == "project-condition"
+    # the failure is the exception the checkpoint raised, returned
+    assert isinstance(failure, CheckpointFailure)
+    assert str(failure) == failure.message
+    assert (failure.checkpoint, failure.node, failure.variable) == ("project-condition", 1, 1)
 
 
 def test_fault_second_join_caught_at_its_node(mixed6, mixed6_tree):
@@ -564,8 +577,8 @@ def test_fault_push_after_project_caught():
     weights = WeightFunction()
     with injected_fault("push_after_project"):
         failure = verify_checkpoints(formula, weights, plan_for(formula))
-    assert failure is not None
-    assert (failure.checkpoint, failure.variable) == ("maximizer-push", 1)
+    assert isinstance(failure, CheckpointFailure)
+    assert (failure.checkpoint, failure.node, failure.variable) == ("maximizer-push", 1, 1)
 
 
 def corrupt_sign(monkeypatch, var, corrupt):

@@ -5,9 +5,8 @@ import pytest
 from xormpe.benchgen import gen_random
 from xormpe.diagram import DiagramManager
 from xormpe.errors import GuardError
-from xormpe.executor import verify_checkpoints
 from xormpe.formula import Formula, WeightFunction, evaluate_formula, evaluate_weight
-from xormpe.oracle import brute_solve
+from xormpe.oracle import brute_solve, verify_checkpoints
 from xormpe.planner import ProjectJoinTree
 
 from conftest import disj, project_all, xor

@@ -8,10 +8,12 @@ import pytest
 
 from xormpe import planner
 from xormpe.benchgen import ChainSpec, gen_chain, gen_random
-from xormpe.executor import count, solve
+from xormpe.diagram import DiagramManager
+from xormpe.executor import count, solve, valuate
 from xormpe.formula import Clause, Formula, Literal, WeightFunction
 from xormpe.planner import (
     Heuristic,
+    MalformedTree,
     PjtNode,
     ProjectJoinTree,
     heuristic_order,
@@ -106,12 +108,12 @@ def test_malformed_trees_are_refused(mixed6, mixed6_tree, unit_weights, malform,
     violation = validate(mixed6_tree, mixed6)
     assert violation.kind == "structure"
     assert violation.node == parent
-    for run in (solve, count):
+    for run in (solve, count, lambda f, w, t: valuate(DiagramManager(), f, t, w)):
         started = time.perf_counter()
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(MalformedTree) as info:
             run(mixed6, unit_weights, mixed6_tree)
         assert time.perf_counter() - started < 1
-        assert str(info.value) == violation.message
+        assert (str(info.value), info.value.node) == (violation.message, parent)
 
 
 def drop_leaf_two(formula):
