@@ -104,7 +104,10 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _emit_answer(maximum: float, literals: list[int]) -> None:
+def _emit_answer(fmt: str, details: list[str], maximum: float, literals: list[int]) -> None:
+    if fmt == "human":
+        for detail in details:
+            print(f"c {detail}")
     print(f"s MAXIMUM {_fmt(maximum)}")
     print(" ".join(["v", *map(str, literals), "0"]))
 
@@ -152,15 +155,13 @@ def cmd_solve(args) -> int:
         Path(args.dot).write_text(observer.manager.to_dot(observer.largest),
                                   encoding="utf-8")
 
-    if args.format == "human":
-        print(f"c width {result.stats.width}")
-        print(f"c peak-nodes {result.stats.peak_nodes}")
-        print(f"c plan-seconds {plan_time:.3f}")
-        print(f"c exec-seconds {result.stats.exec_seconds:.3f}")
-        print(f"c mode {result.mode}")
-        if result.no_model:
-            print("c no model attains nonzero weight")
-    _emit_answer(result.maximum, result.maximizer_literals())
+    stats = result.stats
+    details = [f"width {stats.width}", f"peak-nodes {stats.peak_nodes}",
+               f"plan-seconds {plan_time:.3f}", f"exec-seconds {stats.exec_seconds:.3f}",
+               f"mode {result.mode}"]
+    if result.no_model:
+        details.append("no model attains nonzero weight")
+    _emit_answer(args.format, details, result.maximum, result.maximizer_literals())
     return 0
 
 
@@ -214,8 +215,8 @@ def cmd_oracle(args) -> int:
     from .oracle import brute_solve  # loads numpy
     formula, weights = _read_instance(args.input)
     answer = brute_solve(formula, weights)
-    print(f"c WMC {_fmt(answer.wmc)}")
-    _emit_answer(answer.maximum, list(answer.witness()))
+    _emit_answer(args.format, [f"WMC {_fmt(answer.wmc)}"], answer.maximum,
+                 list(answer.witness()))
     return 0
 
 

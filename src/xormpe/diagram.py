@@ -28,6 +28,10 @@ The manager has two value domains:
             -inf; a node is normalized by subtracting the larger offset.
             Additive operations (pointwise sum) are unavailable here.
 
+A value enters a manager only as a linear-domain weight, checked by
+`formula._check_weight` as the parser's are, and leaves it by `evaluate`; a
+constant c is `literal_weight(x, c, c)`, which reduces to the terminal.
+
 `_walk` runs the two kernels. The join multiplies two functions: it caches
 node pairs and multiplies their offsets. The projection eliminates a
 variable x with its literal weights, from one function f or from the
@@ -56,7 +60,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import GuardError
-from .formula import Assignment, Clause, ClauseKind
+from .formula import Assignment, Clause, ClauseKind, _check_weight
 
 _NEG_INF = float("-inf")
 _TERMINAL = 0  # the one terminal node, the unit constant
@@ -156,9 +160,6 @@ class Function:
     def is_constant(self) -> bool:
         return self.node == _TERMINAL
 
-    def constant_value(self) -> float:
-        return self.manager.evaluate(self, {})
-
     def evaluate(self, assignment: Assignment) -> float:
         return self.manager.evaluate(self, assignment)
 
@@ -174,8 +175,6 @@ class Function:
         return hash((id(self.manager), self.offset, self.node))
 
     def __repr__(self) -> str:
-        if self.is_constant():
-            return f"Function({self.offset!r})"
         return f"Function(offset={self.offset!r}, node={self.node})"
 
 
@@ -255,15 +254,6 @@ class DiagramManager:
 
     # ------------------------------------------------------------ constructors
 
-    def constant(self, value: float) -> Function:
-        """The constant with the given raw value (in the manager's value
-        domain). A constant out of the domain is refused: inf or NaN, and in
-        linear mode any negative value (log10 takes -inf, its zero)."""
-        value = float(value)
-        if math.isnan(value) or value == math.inf or (value < 0 and not self.log_mode):
-            raise ValueError(f"constant {value} is outside the value domain")
-        return Function(self, value, _TERMINAL)
-
     def one(self) -> Function:
         """Unit of the join algebra (1 linear, 0.0 in log10)."""
         return Function(self, self._unit, _TERMINAL)
@@ -273,17 +263,16 @@ class DiagramManager:
         return Function(self, self._zero, _TERMINAL)
 
     def _weights(self, var: int, w_neg: float, w_pos: float) -> tuple[float, float]:
-        """var's linear-domain weights in the manager's value domain."""
+        """var's linear-domain weights, checked, in the manager's value domain."""
         if not isinstance(var, int) or isinstance(var, bool):
             raise ValueError(f"variable index must be an int, got {var!r}")
         if var < 1:
             raise ValueError(f"variable index {var} is not positive")
-        if not (0 <= w_neg < math.inf and 0 <= w_pos < math.inf):  # NaN fails both
-            raise ValueError(f"negative, infinite or NaN weight for variable {var}")
+        w_neg, w_pos = _check_weight(w_neg), _check_weight(w_pos)
         if self.log_mode:
             return (math.log10(w_neg) if w_neg > 0 else _NEG_INF,
                     math.log10(w_pos) if w_pos > 0 else _NEG_INF)
-        return float(w_neg), float(w_pos)
+        return w_neg, w_pos
 
     def literal_weight(self, var: int, w_neg: float, w_pos: float) -> Function:
         """Single-variable weight function; takes linear-domain weights."""

@@ -250,7 +250,7 @@ def _root_value(root: Function) -> float:
     (inf, or NaN from inf times 0) is no answer, so it raises GuardError."""
     if not root.is_constant():
         raise InternalError("root valuation is not constant")
-    value = root.constant_value()
+    value = root.evaluate({})
     if not root.manager.log_mode and not math.isfinite(value):
         raise GuardError(
             f"linear-mode value {value} is out of double range; "

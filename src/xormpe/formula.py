@@ -112,11 +112,11 @@ class Formula:
 
 def _check_weight(value: float) -> float:
     value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"weight must be finite, got {value}")
+    if 0.0 <= value < math.inf:  # a weight's one rule, wherever it enters; NaN fails it
+        return value
     if value < 0:
         raise ValueError(f"negative weight {value}")
-    return value
+    raise ValueError(f"infinite or NaN weight {value}")
 
 
 class WeightFunction:

@@ -53,7 +53,7 @@ class WcnfExport:
 
 def export_wcnf(formula: Formula, weights: WeightFunction,
                 scale: int = DEFAULT_SCALE) -> WcnfExport:
-    if not isinstance(scale, int) or scale < 1:
+    if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
         # a zero scale erases the weight preference and a negative one inverts it
         raise ExportError(f"scale must be an integer >= 1, got {scale!r}")
     n = formula.var_count

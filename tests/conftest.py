@@ -30,6 +30,12 @@ def xor(*lits: int) -> Clause:
     return Clause(ClauseKind.XOR, tuple(lit(v) for v in lits))
 
 
+def constant(mgr, value):
+    """The constant function of a linear-domain value, in either value domain:
+    a weight function whose two equal edges reduce to the terminal."""
+    return mgr.literal_weight(1, value, value)
+
+
 def project_all(project, f, variables):
     """Eliminate each of variables from f with project (a manager's
     exists_project or add_project), the deepest variable (highest index) first."""

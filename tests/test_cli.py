@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from xormpe.formula import format_formula, parse_formula
 from xormpe.oracle import verify_checkpoints
 from xormpe.planner import Heuristic, heuristic_order, plan
 
-from conftest import MIXED6_TEXT
+from conftest import MIXED6_TEXT, injected_fault
 
 UNIT_TEXT = "p cnf 1 1\n1 0\nw -1 10\nw 1 100\n"
 
@@ -112,6 +113,15 @@ def test_solve_verify_flag(capsys, mixed6_file):
     code, out, _ = run(capsys, ["solve", mixed6_file, "--verify"])
     assert code == 0
     assert "s MAXIMUM 1" in out
+
+
+def test_solve_verify_refuses_a_faulty_valuation(capsys, unit_file):
+    # the checkpoint suite runs before the solve: its failure is exit 1, no answer
+    with injected_fault("skip_weight_join"):
+        code, out, err = run(capsys, ["solve", unit_file, "--verify"])
+    assert code == 1
+    assert "checkpoint project-condition failed" in err
+    assert not any(l.startswith(("s ", "v ")) for l in out.splitlines())
 
 
 def test_solve_verify_respects_limit(capsys, tmp_path):
@@ -313,12 +323,15 @@ def test_zero_variable_answer_line(capsys, tmp_path, command):
 def test_oracle_output(capsys, unit_file):
     code, out, _ = run(capsys, ["oracle", unit_file])
     assert code == 0
-    lines = out.splitlines()
-    assert "c WMC 100" in lines
-    assert "s MAXIMUM 100" in lines
-    assert "v 1 0" in lines
-    assert sum(l.startswith("s ") for l in lines) == 1
-    assert sum(l.startswith("v ") for l in lines) == 1
+    assert out == "c WMC 100\ns MAXIMUM 100\nv 1 0\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_machine_format_is_one_s_line_then_one_v_line(capsys, mixed6_file, command):
+    # the machine grammar has no c line: neither solve's stats nor the oracle's WMC
+    code, out, _ = run(capsys, [command, mixed6_file, "--format", "machine"])
+    assert code == 0
+    assert re.fullmatch(r"s MAXIMUM \S+\nv( -?[1-9]\d*)* 0\n", out), out
 
 
 def test_oracle_guard(capsys, tmp_path):

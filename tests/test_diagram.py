@@ -11,8 +11,8 @@ from xormpe.diagram import DiagramManager
 from xormpe.errors import GuardError
 from xormpe.formula import WeightFunction, evaluate_clause
 
-from conftest import (FaultyManager, add, disj, join_then_project, project_all, support,
-                      xor)
+from conftest import (FaultyManager, add, constant, disj, join_then_project, project_all,
+                      support, xor)
 
 
 def assignments(variables):
@@ -47,7 +47,7 @@ def random_nonneg_function(mgr, rng, variables):
     """Random nonnegative function built from weights and clause indicators;
     the clause is added in, or joined in a log10 manager, which cannot add."""
     scale = rng.choice([0.25, 1.0, 2.0])
-    f = mgr.constant(math.log10(scale) if mgr.log_mode else scale)
+    f = constant(mgr, scale)
     for var in variables:
         f = mgr.join(f, mgr.literal_weight(var, rng.choice(DYADIC), rng.choice(DYADIC)))
     if len(variables) >= 2 and rng.random() < 0.7:
@@ -66,20 +66,20 @@ def any_mgr(request):
 # ----------------------------------------------------------------- terminals
 
 def test_constant_identity_and_zero(mgr):
-    one = mgr.constant(1)
+    one = constant(mgr, 1)
     f = mgr.from_clause(disj(1, 6))
     assert mgr.join(f, one) == f
-    assert mgr.join(f, mgr.constant(0)) == mgr.constant(0)
-    assert mgr.join(mgr.constant(5), mgr.constant(7)) == mgr.constant(35)
-    assert support(mgr.constant(3)) == set()
+    assert mgr.join(f, constant(mgr, 0)) == constant(mgr, 0)
+    assert mgr.join(constant(mgr, 5), constant(mgr, 7)) == constant(mgr, 35)
+    assert support(constant(mgr, 3)) == set()
 
 
 def test_literal_weight(mgr):
-    assert mgr.literal_weight(1, 1, 1) == mgr.constant(1)
+    assert mgr.literal_weight(1, 1, 1) == mgr.one()
     w = mgr.literal_weight(2, 10, 100)
     assert w.evaluate({2: True}) == 100.0
     assert w.evaluate({2: False}) == 10.0
-    assert mgr.exists_project(w, 2) == mgr.constant(100)
+    assert mgr.exists_project(w, 2) == constant(mgr, 100)
     with pytest.raises(ValueError):
         mgr.literal_weight(1, -1, 2)
 
@@ -150,7 +150,7 @@ def test_join_support_union(mgr):
 def test_join_requires_same_manager(mgr):
     other = DiagramManager()
     with pytest.raises(ValueError):
-        mgr.join(mgr.constant(1), other.constant(1))
+        mgr.join(constant(mgr, 1), constant(other, 1))
 
 
 def test_join_commutative_associative_node_ids(mgr):
@@ -224,21 +224,21 @@ def test_cofactor_operations_pointwise_below_top(any_mgr):
 
 def test_exists_project(mgr):
     f = mgr.join(mgr.literal_weight(1, 10, 100), mgr.literal_weight(2, 100, 10))
-    assert project_all(mgr.exists_project, f, [1, 2]) == mgr.constant(10000)
+    assert project_all(mgr.exists_project, f, [1, 2]) == constant(mgr, 10000)
     g = mgr.from_clause(disj(1))
     assert mgr.exists_project(g, 6) == g
-    assert mgr.exists_project(g, 1) == mgr.constant(1)
+    assert mgr.exists_project(g, 1) == constant(mgr, 1)
 
 
 def test_add_project(mgr):
-    assert mgr.add_project(mgr.from_clause(disj(1)), 1) == mgr.constant(1)
+    assert mgr.add_project(mgr.from_clause(disj(1)), 1) == constant(mgr, 1)
     f = mgr.from_clause(xor(1, 2))
-    assert project_all(mgr.add_project, f, [1, 2]) == mgr.constant(2)
+    assert project_all(mgr.add_project, f, [1, 2]) == constant(mgr, 2)
 
 
 def test_add_project_counts_absent_variables(mgr):
     # projecting a variable outside the support doubles the function
-    assert mgr.add_project(mgr.constant(3), 2) == mgr.constant(6)
+    assert mgr.add_project(constant(mgr, 3), 2) == constant(mgr, 6)
 
 
 def test_projecting_an_absent_variable_scales_by_its_weights(any_mgr):
@@ -352,18 +352,18 @@ def test_weighted_projection_zero_weight_over_a_huge_value_is_zero():
             assert sign.choose(a) == on_joined.choose(a)
     assert mgr.derivative_sign(f, 1, 0.0, 1.0).choose({2: True}) is True
     assert mgr.derivative_sign(f, 1, 1.0, 0.0).choose({2: True}) is False
-    assert mgr.exists_project(f, 1, 0.0, 1.0) == mgr.constant(5.0)
+    assert mgr.exists_project(f, 1, 0.0, 1.0) == constant(mgr, 5.0)
 
 
 def test_weighted_projection_keeps_the_underflow_guard():
     mgr = DiagramManager()
-    tiny = mgr.constant(1e-300)
+    tiny = constant(mgr, 1e-300)
     with pytest.raises(GuardError, match="--mode log10"):
         mgr.exists_project(tiny, 1, 1e-10, 1e-10)
     with pytest.raises(GuardError, match="--mode log10"):
         mgr.add_project(tiny, 1, 1e-10, 0.0)
     # a unit weight passes a subnormal through exactly, as the join does
-    subnormal = mgr.constant(5e-324)
+    subnormal = constant(mgr, 5e-324)
     assert mgr.exists_project(subnormal, 1) == subnormal
     assert mgr.exists_project(subnormal, 1, 1.0, 0.0) == subnormal
     assert mgr.exists_project(mgr.one(), 1, 5e-324, 0.0) == subnormal
@@ -374,18 +374,20 @@ def test_linear_values_out_of_double_range_raise():
     # a linear offset that overflows raises GuardError at once, and so does a
     # node whose two offsets are more than double range apart
     mgr = DiagramManager()
-    huge = mgr.constant(1e200)
+    huge = constant(mgr, 1e200)
     for operation in (lambda: mgr.join(huge, huge),
                       lambda: mgr.exists_project(huge, 1, 1e200, 1.0),
                       lambda: mgr.exists_project(mgr.literal_weight(1, 2.0, 1e200), 1, 1.0,
                                                  1e200),
-                      lambda: mgr.add_project(mgr.constant(1e308), 1),
-                      lambda: mgr.literal_weight(1, 1e-200, 1e200)):
+                      lambda: mgr.add_project(constant(mgr, 1e308), 1),
+                      lambda: mgr.literal_weight(1, 1e-200, 1e200),
+                      lambda: mgr.exists_project(mgr.from_clause(xor(1, 2)), 1, 1e-200, 1e200),
+                      lambda: mgr.add_project(mgr.one(), 1, 1e308, 1e308)):
         with pytest.raises(GuardError, match="--mode log10"):
             operation()
     for value in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="outside the value domain"):
-            mgr.constant(value)
+        with pytest.raises(ValueError, match="infinite or NaN weight"):
+            constant(mgr, value)
 
 
 def test_linear_constant_refuses_negative_values():
@@ -393,16 +395,16 @@ def test_linear_constant_refuses_negative_values():
     # value, and a projection a range GuardError that named the wrong fault
     mgr = DiagramManager()
     for value in (-2.0, -math.inf, -5e-324):
-        with pytest.raises(ValueError, match="outside the value domain"):
-            mgr.constant(value)
-    assert mgr.constant(0.0) == mgr.zero()
-    # log10 takes any finite value, and -inf is its zero
+        with pytest.raises(ValueError, match="negative weight"):
+            constant(mgr, value)
+    assert constant(mgr, 0.0) == mgr.zero()
+    # a constant enters a log10 manager as a linear weight too: 0 is its zero
     log = DiagramManager(log_mode=True)
-    assert log.constant(-2.0).constant_value() == -2.0
-    assert log.constant(-math.inf) == log.zero()
+    assert constant(log, 0.01).evaluate({}) == -2.0
+    assert constant(log, 0.0) == log.zero()
     for value in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="outside the value domain"):
-            log.constant(value)
+        with pytest.raises(ValueError, match="infinite or NaN weight"):
+            constant(log, value)
 
 
 def test_no_op_cache_entry_crosses_operations():
@@ -507,7 +509,7 @@ def test_fused_projection_with_a_constant_operand(any_mgr):
     # operand by the join's rule, a zero times it being zero, never NaN
     mgr = any_mgr
     projections = [mgr.exists_project] + ([] if mgr.log_mode else [mgr.add_project])
-    constants = [mgr.one(), mgr.zero()] + ([] if mgr.log_mode else [mgr.constant(1e300)])
+    constants = [mgr.one(), mgr.zero()] + ([] if mgr.log_mode else [constant(mgr, 1e300)])
     rng = random.Random(41)
     for _ in range(10):
         variables = rng.sample(range(1, 5), rng.randint(1, 3))
@@ -594,7 +596,7 @@ def test_a_finished_manager_is_freed_without_the_cycle_collector():
         f, g = mgr.literal_weight(1, 2.0, 3.0), mgr.from_clause(xor(1, 2))
         mgr.add_project(mgr.join(f, g), 2, 1.0, 4.0, f)
         try:
-            mgr.exists_project(mgr.constant(1e-200), 1, 1.0, 1.0, mgr.constant(1e-200))
+            mgr.exists_project(constant(mgr, 1e-200), 1, 1.0, 1.0, constant(mgr, 1e-200))
         except GuardError:
             pass
         manager = weakref.ref(mgr)
@@ -672,7 +674,7 @@ def test_sign_leaves_the_assignment_as_given(mgr, bound):
 # ------------------------------------------------------------------- evaluate
 
 def test_evaluate(mgr):
-    assert mgr.constant(4.5).evaluate({}) == 4.5
+    assert constant(mgr, 4.5).evaluate({}) == 4.5
     f = mgr.from_clause(xor(2, -4))
     assert f.evaluate({2: False, 4: False}) == 1.0
     with pytest.raises(KeyError):
@@ -715,7 +717,7 @@ def test_no_redundant_nodes_reachable(mgr):
 def test_size_counts_distinct_nodes(mgr):
     f = mgr.from_clause(xor(1, 2))
     assert mgr.size(f) == 4
-    assert mgr.size(mgr.constant(1)) == 1
+    assert mgr.size(constant(mgr, 1)) == 1
 
 
 def test_size_support_and_dot_agree():

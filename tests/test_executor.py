@@ -168,7 +168,7 @@ def test_valuate_root(mixed6, unit_weights, mixed6_tree):
     mgr = DiagramManager()
     stack = []
     f = valuate(mgr, mixed6, mixed6_tree, unit_weights, stack=stack)
-    assert f == mgr.constant(1)
+    assert f == mgr.one()
     assert len(stack) == 6
     assert sorted(sign.var for sign in stack) == [1, 2, 3, 4, 5, 6]
 
@@ -767,7 +767,7 @@ def test_subtree_valuation_sizes_recursion_from_its_own_nodes():
     assert tree.width() == wide
     manager = DiagramManager()
     f = valuate(manager, formula, tree, WeightFunction())
-    assert f == manager.constant(1)
+    assert f == manager.one()
     assert sys.getrecursionlimit() == wide
 
 

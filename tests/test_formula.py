@@ -49,6 +49,7 @@ def test_parse_negative_weight_reports_line():
     ("p cnf x 1\n1 0\n", "non-numeric"),
     ("p wcnf 1 1\n1 0\n", "malformed header"),
     ("p cnf 1 1 1\n1 0\n", "malformed header"),
+    ("p cnf -1 0\n", "line 1: malformed header: negative count"),
     ("1 0\np cnf 1 1\n", "before 'p cnf' header"),
     ("p cnf 1 1\np cnf 1 1\n1 0\n", "duplicate"),
     ("p cnf 1 1\n2 0\n", "out of range"),
@@ -64,6 +65,7 @@ def test_parse_negative_weight_reports_line():
     ("p cnf 1 1\n1 0\nw 0 1.0\n", "literal 0"),
     ("p cnf 1 1\n1 0\nw 2 1.0\n", "out of range"),
     ("p cnf 1 1\n1 0\nw 1 0.5 7\n", "malformed weight"),
+    ("p cnf 1 0\nw 1\n", "line 2: malformed weight line"),
     ("p cnf 1 2\n1 0\n", "declares 2 clauses"),
     ("", "missing 'p cnf' header"),
 ])

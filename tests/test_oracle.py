@@ -76,7 +76,7 @@ def test_matches_monolithic_projection():
         for var in formula.variables:
             f = mgr.join(f, mgr.literal_weight(var, *weights.pair(var)))
         projected = project_all(mgr.exists_project, f, formula.variables)
-        assert projected.constant_value() == pytest.approx(result.maximum, rel=1e-9)
+        assert projected.evaluate({}) == pytest.approx(result.maximum, rel=1e-9)
 
 
 def test_values_consistent_with_direct_evaluation():

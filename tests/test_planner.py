@@ -434,6 +434,8 @@ def test_jt_serialization(mixed6, mixed6_tree):
     assert lines[3] == "8 6 7 3 e 1"
     assert lines[-1] == "10 8 9 e"
     assert text == mixed6_tree.to_jt_text()
+    with pytest.raises(ValueError, match="tree has no root"):
+        ProjectJoinTree(mixed6).to_jt_text()
 
 
 def test_post_order_children_first(mixed6, mixed6_tree):

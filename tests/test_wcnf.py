@@ -176,7 +176,7 @@ def test_scale_parameter():
                                                  round(100 * math.log(100))]
 
 
-@pytest.mark.parametrize("scale", [0, -10, 2.5])
+@pytest.mark.parametrize("scale", [0, -10, 2.5, True])
 def test_scale_must_be_a_positive_integer(scale):
     # zero soft weights erase the weight preference, negative ones invert it
     formula = Formula(1, [disj(1)])
