@@ -30,7 +30,7 @@ from typing import Callable
 
 from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
-from .formula import Assignment, Formula, WeightFunction, evaluate_formula, evaluate_weight
+from .formula import Assignment, Formula, WeightFunction, evaluate_formula
 from .planner import ProjectJoinTree, Violation, _checked_order
 
 _RTOL = 1e-9  # relative tolerance of the certificate, and of the checkpoints in oracle.py
@@ -212,21 +212,20 @@ def solve(
 
 def _certify(formula: Formula, weights: WeightFunction, mode: str, maximum: float,
              maximizer: dict[int, bool]) -> None:
-    """A nonzero maximum's certificate: the maximizer satisfies every clause
-    and weighs the maximum to `_RTOL` (in log10 mode, an fsum of log10
-    weights, with an absolute floor of `_RTOL` for a maximum near 0.0).
-    Else the solve is wrong, which raises InternalError."""
+    """A nonzero maximum's certificate, else InternalError (the solve is
+    wrong): the maximizer satisfies every clause, and its weight, an fsum of
+    log10 weights in both modes, is the maximum to `_RTOL`, compared on
+    logarithms (a log10 maximum near 0.0 gets an absolute floor of `_RTOL`)."""
     if not evaluate_formula(formula, maximizer):
         raise InternalError("the maximizer falsifies a clause of a satisfiable formula")
+    chosen = [weights.weight(var, maximizer[var]) for var in formula.variables]
+    weight = -math.inf if 0.0 in chosen else math.fsum(map(math.log10, chosen))
     if mode == "log10":
-        chosen = [weights.weight(var, maximizer[var]) for var in formula.variables]
-        weight = -math.inf if 0.0 in chosen else math.fsum(map(math.log10, chosen))
         certified = math.isclose(weight, maximum, rel_tol=_RTOL, abs_tol=_RTOL)
-    else:
-        weight = evaluate_weight(weights, maximizer)
-        certified = math.isclose(weight, maximum, rel_tol=_RTOL, abs_tol=0.0)
+    else:  # relative _RTOL on logarithms; log1p, as 1 + _RTOL rounds up
+        certified = abs(weight - math.log10(maximum)) <= math.log1p(_RTOL) / math.log(10)
     if not certified:
-        raise InternalError(f"the maximizer weighs {weight!r}, not the maximum {maximum!r}")
+        raise InternalError(f"the maximizer weighs 10^{weight!r}, not the maximum {maximum!r}")
 
 
 def count(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree) -> float:

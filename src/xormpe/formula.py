@@ -111,12 +111,13 @@ class Formula:
 
 
 def _check_weight(value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond double range
+        value = math.inf if value > 0 else -math.inf
     if 0.0 <= value < math.inf:  # a weight's one rule, wherever it enters; NaN fails it
         return value
-    if value < 0:
-        raise ValueError(f"negative weight {value}")
-    raise ValueError(f"infinite or NaN weight {value}")
+    raise ValueError(f"negative weight {value}" if value < 0 else f"infinite or NaN weight {value}")
 
 
 class WeightFunction:

@@ -285,6 +285,16 @@ def test_gen_chain_require_sat(capsys, tmp_path):
     assert brute_solve(formula, weights).maximum > 0
 
 
+def test_gen_random_require_sat_gives_up_with_exit_3(capsys, tmp_path):
+    # 30 unit clauses over one variable: both polarities appear in every seed
+    code, out, err = run(capsys, ["gen", "random", "--n", "1", "--m", "30",
+                                  "--max-len", "1", "--xor-prob", "0",
+                                  "--require-sat", "--out", str(tmp_path / "unsat.xcnf")])
+    assert code == 3
+    assert "no satisfiable instance found in 1000 seeds from 0" in err
+    assert not (tmp_path / "unsat.xcnf").exists()
+
+
 def test_gen_random(capsys, tmp_path):
     out_path = tmp_path / "rand.xcnf"
     code, _, _ = run(capsys, ["gen", "random", "--n", "6", "--m", "8",

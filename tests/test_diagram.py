@@ -382,10 +382,11 @@ def test_linear_values_out_of_double_range_raise():
                       lambda: mgr.add_project(constant(mgr, 1e308), 1),
                       lambda: mgr.literal_weight(1, 1e-200, 1e200),
                       lambda: mgr.exists_project(mgr.from_clause(xor(1, 2)), 1, 1e-200, 1e200),
+                      lambda: mgr.exists_project(mgr.from_clause(xor(1, 2)), 1, 1e200, 1e-200),
                       lambda: mgr.add_project(mgr.one(), 1, 1e308, 1e308)):
         with pytest.raises(GuardError, match="--mode log10"):
             operation()
-    for value in (math.inf, math.nan):
+    for value in (math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="infinite or NaN weight"):
             constant(mgr, value)
 

@@ -14,6 +14,8 @@ from xormpe.errors import GuardError, InternalError
 from xormpe import executor, oracle
 from xormpe.executor import Observer, count, solve, valuate
 from xormpe.formula import (
+    Clause,
+    ClauseKind,
     Formula,
     WeightFunction,
     evaluate_formula,
@@ -581,6 +583,37 @@ def test_fault_push_after_project_caught():
     assert (failure.checkpoint, failure.node, failure.variable) == ("maximizer-push", 1, 1)
 
 
+def test_fault_clause_dropping_a_literal_caught_at_pre_condition(monkeypatch):
+    # x1 or x2 or x3 built as x2 or x3: stricter, so the solve's answer is
+    # still feasible and certified, but the factors no longer multiply to the
+    # weighted formula before any work
+    formula = Formula(3, [disj(1, 2, 3)])
+    from_clause = DiagramManager.from_clause
+
+    def dropping(manager, clause):
+        if clause.kind is ClauseKind.DISJUNCTION and len(clause.literals) >= 3:
+            lowest = min(clause.literals, key=lambda lit: lit.var)
+            clause = Clause(clause.kind, tuple(l for l in clause.literals if l != lowest))
+        return from_clause(manager, clause)
+
+    monkeypatch.setattr(DiagramManager, "from_clause", dropping)
+    tree = plan_for(formula)
+    assert solve(formula, WeightFunction(), tree).maximum == 1.0
+    failure = verify_checkpoints(formula, WeightFunction(), tree)
+    assert failure is not None
+    assert (failure.checkpoint, failure.node, failure.variable) == ("pre-condition", None, None)
+
+
+def test_fault_root_value_off_caught_at_maximizer_const(monkeypatch):
+    formula = Formula(2, [disj(1, 2)])
+    weights = WeightFunction({1: (1, 2), 2: (1, 3)})
+    root_value = executor._root_value
+    monkeypatch.setattr(executor, "_root_value", lambda root: root_value(root) * (1 + 1e-6))
+    failure = verify_checkpoints(formula, weights, plan_for(formula))
+    assert failure is not None
+    assert failure.checkpoint == "maximizer-const"
+
+
 def corrupt_sign(monkeypatch, var, corrupt):
     """Every solve builds a manager whose projection of var records
     corrupt(sign) in place of var's true sign; the projection is untouched."""
@@ -612,6 +645,17 @@ def test_sign_with_swapped_weights_fails_only_the_push_check(monkeypatch):
     failure = verify_checkpoints(formula, weights, tree)
     assert failure is not None
     assert (failure.checkpoint, failure.variable) == ("maximizer-push", 2)
+
+
+def test_flipped_sign_passes_the_push_check_and_fails_its_pop(monkeypatch):
+    # the push check weighs the sign's record, which is intact, so only the
+    # pop that follows its flipped choice leaves every maximizer behind
+    formula = Formula(2, [disj(1, 2)])
+    weights = WeightFunction({1: (1, 2), 2: (1, 3)})
+    corrupt_sign(monkeypatch, 1, lambda sign: _FlippedSign(*sign))
+    failure = verify_checkpoints(formula, weights, plan_for(formula))
+    assert failure is not None
+    assert (failure.checkpoint, failure.variable) == ("maximizer-pop", 1)
 
 
 @pytest.mark.parametrize("mode", ["linear", "log10"])
@@ -646,6 +690,49 @@ def test_certificate_allows_a_log10_maximum_of_zero():
     result = solve(formula, weights, plan(formula, [1, 2, 3]), mode="log10")
     assert result.maximum == pytest.approx(0.0, abs=1e-12)
     assert result.maximizer == {1: True, 2: True, 3: True}
+
+
+MIXED_MAGNITUDES = Formula(4, [disj(1), disj(2), disj(3), disj(4), disj(2, 4)])
+MIXED_WEIGHTS = WeightFunction({1: (1, 1e-200), 2: (1, 1e-200), 3: (1, 1e200), 4: (1, 1e200)})
+
+
+@pytest.mark.parametrize("heuristic", list(Heuristic), ids=lambda h: h.value)
+def test_linear_certificate_forms_no_product(tmp_path, capsys, heuristic):
+    # the optimum weighs 1e-200 * 1e-200 * 1e200 * 1e200 = 1, and the solve
+    # finds it, but a running product in variable order underflows to 0.0 at
+    # 1e-400; the certificate sums log10 weights, so it accepts the answer
+    result = solve(MIXED_MAGNITUDES, MIXED_WEIGHTS, plan_for(MIXED_MAGNITUDES, heuristic))
+    assert (result.maximum, result.maximizer_literals()) == (1.0, [1, 2, 3, 4])
+    path = tmp_path / "mixed.xcnf"
+    path.write_text(format_formula(MIXED_MAGNITUDES, MIXED_WEIGHTS))
+    assert main(["solve", str(path), "--plan-heuristic", heuristic.value,
+                 "--format", "machine"]) == 0
+    assert capsys.readouterr().out == "s MAXIMUM 1\nv 1 2 3 4 0\n"
+
+
+def test_linear_certificate_accepts_mixed_magnitudes():
+    # weights 10^U(-250, 250) on shuffled plans: a linear solve either leaves
+    # double range (GuardError) or returns the log10 solve's maximum, certified
+    rng = random.Random(0)
+    compared = 0
+    for trial in range(400):
+        n = rng.randint(1, 8)
+        formula, _ = gen_random(n, rng.randint(0, 2 * n), rng.randint(1, min(n, 4)), 0.5, trial)
+        weights = WeightFunction({v: (10 ** rng.uniform(-250, 250), 10 ** rng.uniform(-250, 250))
+                                  for v in formula.variables})
+        order = list(formula.variables)
+        rng.shuffle(order)
+        tree = plan(formula, order)
+        log10 = solve(formula, weights, tree, mode="log10")
+        try:
+            linear = solve(formula, weights, tree, mode="linear")
+        except GuardError:
+            continue
+        assert linear.no_model == log10.no_model
+        if not linear.no_model:
+            assert abs(math.log10(linear.maximum) - log10.maximum) <= 1e-9
+            compared += 1
+    assert compared > 100
 
 
 def test_fault_tie_break_caught_by_canonical_tie_oracle():

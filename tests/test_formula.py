@@ -164,6 +164,11 @@ def test_weight_function_rejects_bad_values():
         weights.set_literal(1, float("nan"))
     with pytest.raises(ValueError):
         weights.set_literal(0, 1.0)
+    # float() of an int beyond double range raises OverflowError, not ValueError
+    with pytest.raises(ValueError, match="infinite or NaN weight"):
+        WeightFunction({1: (10**400, 1)})
+    with pytest.raises(ValueError, match="infinite or NaN weight"):
+        weights.set_literal(1, 10**400)
     # a key of -2 would print lines that reparse with the polarities swapped,
     # and a key of 0 text that does not reparse
     for var in (0, -2, 1.5):
