@@ -41,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="value domain; log10 keeps huge products finite")
     p_solve.add_argument("--format", default="human", choices=["human", "machine"])
     p_solve.add_argument("--verify", action="store_true",
-                         help="run the enumeration-backed checkpoint suite first "
-                              "(small instances only)")
+                         help="first rerun the solve, checking each tree node's step "
+                              "on a dense table (trees of width 20 at most)")
     p_solve.add_argument("--dot", metavar="PATH",
                          help="write the largest intermediate diagram as Graphviz dot")
 
@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
 
     if args.verify:
         from .oracle import verify_checkpoints  # loads numpy
-        failure = verify_checkpoints(formula, weights, tree)
+        failure = verify_checkpoints(formula, weights, tree, mode=args.mode)
         if failure is not None:
             return _fail(f"checkpoint {failure.checkpoint} failed: {failure.message}", 1)
 

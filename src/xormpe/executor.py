@@ -16,7 +16,7 @@ or unconstrained variables would tie and lose their weight preference.
 
 An `Observer` gets one event per change of state: a join, a projection (with
 its fused child and recorded sign, if any) or a node's valuation.
-`oracle.verify_checkpoints` checks a solve through one.
+`oracle.verify_checkpoints` checks each event through one, at its tree node.
 """
 
 from __future__ import annotations

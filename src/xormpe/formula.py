@@ -116,7 +116,7 @@ def _check_weight(value: float) -> float:
     except OverflowError:  # an int beyond double range
         value = math.inf if value > 0 else -math.inf
     if 0.0 <= value < math.inf:  # a weight's one rule, wherever it enters; NaN fails it
-        return value
+        return value or 0.0  # -0.0 is falsy: a zero weight is +0.0
     raise ValueError(f"negative weight {value}" if value < 0 else f"infinite or NaN weight {value}")
 
 

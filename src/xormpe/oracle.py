@@ -1,15 +1,14 @@
 """Exhaustive-enumeration reference for maximum-weight assignments and WMC,
-and the checkpoint verifier built on it: the one module that loads numpy.
+and the checkpoint verifier: the one module that loads numpy.
 
 Deliberately plain: every one of the 2^n total assignments is materialized
 and evaluated (point i of a dense array sets variable var exactly when bit
 var - 1 of i is set). This is the ground truth the solver is tested against.
 
-`verify_checkpoints` reruns a solve with an observer that maintains the
-multiset of active functions, checking after every state change - by
-exhaustive enumeration, so only small instances - that the active product
-equals the projected master function and that each recorded sign extends
-maximizers correctly.
+`verify_checkpoints` reruns a solve with an observer that checks each step
+on its own tree node, on dense tables over the node's variables: bucket
+elimination is correct by induction over the tree (Dechter, AI 1999), so
+local checks cover any variable count, for trees up to DENSE_LIMIT wide.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import DerivativeSign, DiagramManager, Function
-from .errors import GuardError, InternalError
+from .diagram import _TERMINAL, DerivativeSign, Function
+from .errors import GuardError
 from .executor import _RTOL, Observer, solve
 from .formula import Assignment, ClauseKind, Formula, WeightFunction
 from .planner import ProjectJoinTree
 
-ORACLE_LIMIT = 20
-VERIFY_LIMIT = 16
+DENSE_LIMIT = 20  # variables of the oracle's enumeration, and of a verified tree node
 
 
 @dataclass
@@ -95,11 +93,11 @@ def _check_range(weights: WeightFunction, n: int) -> None:
 
 def brute_solve(formula: Formula, weights: WeightFunction) -> OracleResult:
     """Enumerate all assignments; return the maximum, its witnesses, and the
-    weighted model count. Raises GuardError beyond ORACLE_LIMIT variables and
+    weighted model count. Raises GuardError beyond DENSE_LIMIT variables and
     when linear weight products leave double range."""
     n = formula.var_count
-    if n > ORACLE_LIMIT:
-        raise GuardError(f"oracle limit exceeded: {n} > {ORACLE_LIMIT} variables")
+    if n > DENSE_LIMIT:
+        raise GuardError(f"oracle limit exceeded: {n} > {DENSE_LIMIT} variables")
     _check_range(weights, n)
     size = 1 << n
     bits = _bits(n)
@@ -141,161 +139,160 @@ class CheckpointFailure(Exception):
 
 
 class _Verifier(Observer):
-    """Instrumentation mirroring the annotated execution: A is the multiset of
-    active functions (by edge), `expected` the oracle's dense enumeration
-    of the weighted formula maximized over the variables projected so far,
-    one axis per projection (a max is exact, so the order is free). The state
-    is checked once after setup, each join and each projection; a fused join
-    and projection is one change of state, so it is checked once."""
+    """Checks each executor event at its tree node, in the value domain of
+    the manager it observes, on tables with one axis per variable of the
+    node (vars | pi), ascending. `valuations` holds each exited node's
+    valuation until its parent takes it; of the node in progress, `so_far`
+    is its function so far and `untaken` its children not taken yet."""
 
-    def __init__(self, formula: Formula, weights: WeightFunction):
+    def __init__(self, formula: Formula, weights: WeightFunction, tree: ProjectJoinTree):
         super().__init__()
-        self.formula = formula
-        self.weights = weights
-        self.n = formula.var_count
-        self.size = 1 << self.n
-        self.bits = _bits(self.n)
-        reference = brute_solve(formula, weights)
-        self.master, self.maximum = reference.values, reference.maximum
-        self.expected = self.master
-        self.active: dict[Function, int] = {}  # function (edge) -> multiplicity
-        self._grids: dict[int, np.ndarray] = {}
+        self.formula, self.weights, self.tree = formula, weights, tree
+        self.valuations: dict[int, Function] = {}
+        self.signs: dict[int, DerivativeSign] = {}  # by variable, each checked as pushed
+        self.node: int | None = None
 
-    # -- bookkeeping ------------------------------------------------------
-
-    def setup(self, manager: DiagramManager) -> None:
-        if manager.log_mode:
-            raise ValueError("verification runs in the linear domain only")
+    def setup(self, manager) -> None:
         super().setup(manager)
-        for clause in self.formula.clauses:
-            self._insert(manager.from_clause(clause))
-        for var in self.formula.variables:
-            self._insert(manager.literal_weight(var, *self.weights.pair(var)))
-        self._check_active("pre-condition", None)
+        # atol: the certificate's floor for a log10 value near 0
+        self.unit, self.zero, self.times, self.atol = (
+            (0.0, -math.inf, np.add, _RTOL) if manager.log_mode else (1.0, 0.0, np.multiply, 0.0))
 
-    def _insert(self, f: Function) -> None:
-        if f != self.manager.one():  # the unit is no factor of the product
-            self.active[f] = self.active.get(f, 0) + 1
+    def _fail(self, checkpoint: str, message: str, variable: int | None = None):
+        raise CheckpointFailure(checkpoint, message, node=self.node, variable=variable)
 
-    def _remove(self, f: Function) -> None:
-        if f == self.manager.one():
-            return
-        count = self.active.get(f, 0)
-        if count <= 0:
-            raise InternalError(f"active multiset misses {f!r}")
-        if count == 1:
-            del self.active[f]
-        else:
-            self.active[f] = count - 1
+    def _at(self, node: int, previous: Function | None = None) -> None:
+        """Enter node at its first event, from its first child's valuation
+        (the unit if it has none), as the executor does; previous, when
+        given, must be the node's function so far."""
+        if node != self.node:
+            pjt_node, self.node = self.tree.nodes[node], node
+            self.scope = {var: i for i, var in enumerate(sorted(pjt_node.vars | pjt_node.pi))}
+            self.untaken, self.so_far = list(pjt_node.children), self.manager.one()
+            if self.untaken:
+                self.so_far = self._take(self.valuations.get(self.untaken[0]))
+        if previous is not None and previous != self.so_far:
+            self._fail("join-condition", f"node {node} works on {previous!r}, not {self.so_far!r}")
 
-    def _grid(self, node: int) -> np.ndarray:
-        """The node's function at every point (its edges' offsets taken in)."""
-        cached = self._grids.get(node)
-        if cached is not None:
-            return cached
-        manager = self.manager
-        if manager.is_terminal(node):
-            grid = np.ones(self.size, dtype=np.float64)
-        else:
-            var, low, low_off, high, high_off = manager._nodes[node]
-            grid = np.where(self.bits[var - 1], high_off * self._grid(high),
-                            low_off * self._grid(low))
-        self._grids[node] = grid
-        return grid
+    def _take(self, h: Function | None) -> Function:
+        """h, the valuation of a child not taken yet, which now is taken."""
+        for child in self.untaken:
+            if h is not None and self.valuations.get(child) == h:
+                self.untaken.remove(child)
+                return self.valuations.pop(child)
+        self._fail("join-condition", f"node {self.node} takes {h!r}, no untaken child's valuation")
 
-    def _values(self, f: Function) -> np.ndarray:
-        return f.offset * self._grid(f.node)
+    def _axis(self, var: int, values: list) -> np.ndarray:
+        """values[0] where var is 0 and values[1] where it is 1."""
+        return np.reshape(values, [2 if v == var else 1 for v in self.scope])
 
-    def _active_product(self) -> np.ndarray:
-        product = np.ones(self.size, dtype=np.float64)
-        for f, multiplicity in self.active.items():
-            grid = self._values(f)
-            for _ in range(multiplicity):
-                product = product * grid
-        return product
+    def _table(self, f: Function, checkpoint: str) -> np.ndarray:
+        """f at every point of the node. A diagram node's table spans the
+        trailing axes, from its own variable on, so numpy tiles it across
+        the levels its parents skip; a variable off the node fails."""
+        nodes, scope, times = self.manager._nodes, self.scope, self.times
+        tables: dict[int, np.ndarray] = {_TERMINAL: np.array(self.unit)}
 
-    def _reduce_max(self, grid: np.ndarray, var: int) -> np.ndarray:
-        shaped = grid.reshape((2,) * self.n)
-        return np.broadcast_to(shaped.max(axis=self.n - var, keepdims=True),
-                               shaped.shape).reshape(-1)
+        def table(node: int) -> np.ndarray:
+            result = tables.get(node)
+            if result is None:
+                var, low, low_off, high, high_off = nodes[node]
+                if var not in scope:
+                    self._fail(checkpoint, f"a function of node {self.node} depends on x{var}")
+                result = tables[node] = np.empty((2,) * (len(scope) - scope[var]))
+                times(low_off, table(low), out=result[0, ...])
+                times(high_off, table(high), out=result[1, ...])
+            return result
 
-    def _check_active(self, checkpoint: str, node: int | None, variable: int | None = None):
-        if not np.allclose(self._active_product(), self.expected, rtol=_RTOL, atol=0.0):
-            raise CheckpointFailure(
-                checkpoint,
-                f"active product deviates from the projected master at node {node}",
-                node=node, variable=variable)
+        return np.broadcast_to(times(f.offset, table(f.node)), (2,) * len(scope))
+
+    def _check(self, checkpoint: str, f: Function, expected: np.ndarray, message: str,
+               variable: int | None = None) -> None:
+        table = self._table(f, checkpoint)
+        with np.errstate(under="ignore"):  # the tolerance of a tiny value underflows
+            if not np.allclose(table, expected, rtol=_RTOL, atol=self.atol):
+                self._fail(checkpoint, message, variable)
 
     # -- events from the executor ------------------------------------------
 
     def child_joined(self, node: int, h: Function, previous: Function, joined: Function) -> None:
-        self._remove(h)
-        self._remove(previous)
-        self._insert(joined)
-        self._check_active("join-condition", node)
-
-    def _check_sign(self, node: int, var: int, sign: DerivativeSign) -> None:
-        # if t maximizes the (var + projected)-projection, t extended by the
-        # recorded sign must maximize the projected-variables projection;
-        # runs before self.expected loses var
-        c_before, c_after = self.expected, self._reduce_max(self.expected, var)
-        overall = c_after.max()
-        maximizers = c_after == overall
-        # hi and lo: every point with var (bit var-1 of the index) set to 1, 0
-        f = self._values(sign.function)
-        if sign.factor is not None:
-            f = f * self._values(sign.factor)
-        f = f * np.where(self.bits[var - 1], sign.w_pos, sign.w_neg)
-        index = np.arange(self.size)
-        hi, lo = index | (1 << (var - 1)), index & ~(1 << (var - 1))
-        chosen = np.where(f[hi] >= f[lo], c_before[hi], c_before[lo])
-        if not np.allclose(chosen[maximizers], overall, rtol=_RTOL, atol=0.0):
-            raise CheckpointFailure(
-                "maximizer-push",
-                f"sign for variable {var} fails to extend maximizers at node {node}",
-                node=node, variable=var)
+        self._at(node, previous)
+        self._take(h)
+        product = self.times(self._table(previous, "join-condition"),
+                             self._table(h, "join-condition"))
+        self._check("join-condition", joined, product,
+                    f"join at node {node} is not its operands' product")
+        self.so_far = joined
 
     def projected(self, node: int, var: int, h: Function | None, previous: Function,
                   result: Function, sign: DerivativeSign | None) -> None:
-        if sign is not None:
-            self._check_sign(node, var, sign)
-        if h is not None:
-            self._remove(h)
-        self._remove(previous)
-        self._remove(self.manager.literal_weight(var, *self.weights.pair(var)))
-        self._insert(result)
-        self.expected = self._reduce_max(self.expected, var)
-        self._check_active("project-condition", node, variable=var)
+        self._at(node, previous)
+        product = self._table(previous, "project-condition")
+        if h is not None:  # the operands first, then the weights, as the kernel takes them
+            self._take(h)
+            product = self.times(product, self._table(h, "project-condition"))
+        w_neg, w_pos = self.manager._weights(var, *self.weights.pair(var))
+        if sign != DerivativeSign(var, previous, w_neg, w_pos, h):  # solve records every sign
+            self._fail("maximizer-push", f"sign {sign!r} is not x{var}'s at node {node}", var)
+        self.signs[var] = sign
+        product = self.times(product, self._axis(var, [w_neg, w_pos]))
+        self._check("project-condition", result, product.max(self.scope[var], keepdims=True),
+                    f"x{var}'s projection at node {node} is not its operands' max", var)
+        self.so_far = result
+
+    def exit(self, node: int, f: Function) -> None:
+        if node < self.tree.clause_count:
+            self._at(node)
+            satisfied = np.zeros([1] * len(self.scope), dtype=bool)
+            clause = self.formula.clauses[node]
+            combine = np.logical_or if clause.kind is ClauseKind.DISJUNCTION else np.logical_xor
+            for lit in clause.literals:
+                satisfied = combine(satisfied, self._axis(lit.var, [False, True]) == lit.positive)
+            self._check("pre-condition", f, np.where(satisfied, self.unit, self.zero),
+                        f"leaf {node} is not its clause's indicator")
+        else:
+            self._at(node, f)
+            if self.untaken:
+                self._fail("join-condition", f"node {node} leaves children {self.untaken}")
+        self.valuations[node] = f
 
     def after_valuate(self, maximum: float) -> None:
-        if not math.isclose(maximum, self.maximum, rel_tol=_RTOL, abs_tol=0.0):
-            raise CheckpointFailure(
-                "maximizer-const",
-                f"root value {maximum} deviates from enumerated maximum {self.maximum}")
-        self._mask = np.ones(self.size, dtype=bool)  # points that agree with the pops so far
+        root = self.valuations[self.tree.root]
+        if not root.is_constant() or maximum != root.offset:
+            raise CheckpointFailure("maximizer-const", f"maximum {maximum!r} is not the "
+                                    f"root's constant {root!r}", node=self.tree.root)
 
     def popped(self, var: int, assignment: Assignment) -> None:
-        self._mask &= self.bits[var - 1] == assignment[var]
-        reachable = float(self.master[self._mask].max())
-        if not math.isclose(reachable, self.maximum, rel_tol=_RTOL, abs_tol=0.0):
-            raise CheckpointFailure(
-                "maximizer-pop",
-                f"after assigning variable {var}, best completion {reachable} "
-                f"deviates from maximum {self.maximum}",
-                variable=var)
+        # both sides of var's sign, from its operands: var is bound in the
+        # executor's assignment for the two evaluations, then restored
+        sign, chosen, times = self.signs[var], assignment[var], self.manager._times
+        sides = []
+        for value, weight in ((False, sign.w_neg), (True, sign.w_pos)):
+            assignment[var] = value
+            side = sign.function.evaluate(assignment)
+            if sign.factor is not None:
+                side = times(side, sign.factor.evaluate(assignment))
+            sides.append(times(side, weight))
+        assignment[var] = chosen
+        if sides[chosen] < sides[not chosen]:
+            raise CheckpointFailure("maximizer-pop", f"x{var} = {int(chosen)} weighs "
+                                    f"{sides[chosen]!r} < {sides[not chosen]!r}", variable=var)
 
 
-def verify_checkpoints(formula: Formula, weights: WeightFunction,
-                       tree: ProjectJoinTree) -> CheckpointFailure | None:
-    """Run a linear-mode solve under full instrumentation.
-
-    Returns None when every checkpoint holds, else the first failure. Only
-    feasible for small variable counts (exhaustive enumeration inside)."""
-    if formula.var_count > VERIFY_LIMIT:
-        raise GuardError(
-            f"verification limit exceeded: {formula.var_count} > {VERIFY_LIMIT} variables")
+def verify_checkpoints(formula: Formula, weights: WeightFunction, tree: ProjectJoinTree,
+                       mode: str = "linear") -> CheckpointFailure | None:
+    """Run a solve in `mode` under full instrumentation: None when every
+    checkpoint holds, else the first failure. GuardError for a tree wider
+    than DENSE_LIMIT, or linear products out of double range in the solve
+    or in a table."""
+    if tree.width() > DENSE_LIMIT:
+        raise GuardError(f"verification limit exceeded: width {tree.width()} > {DENSE_LIMIT}")
     try:
-        solve(formula, weights, tree, mode="linear", observer=_Verifier(formula, weights))
+        with np.errstate(over="raise", under="raise"):
+            solve(formula, weights, tree, mode=mode, observer=_Verifier(formula, weights, tree))
     except CheckpointFailure as failure:
         return failure
+    except FloatingPointError as exc:
+        raise GuardError("linear weight products leave double range; "
+                         "the verifier cannot tabulate them") from exc
     return None

@@ -125,9 +125,9 @@ def test_solve_verify_refuses_a_faulty_valuation(capsys, unit_file):
 
 
 def test_solve_verify_respects_limit(capsys, tmp_path):
-    lines = ["p cnf 17 1", "1 0"]
+    # no clauses: the tree's one internal node projects all 21 variables
     path = tmp_path / "big.xcnf"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("p cnf 21 0\n")
     code, _, err = run(capsys, ["solve", str(path), "--verify"])
     assert code == 3
     assert "verification limit" in err
@@ -344,6 +344,14 @@ def test_machine_format_is_one_s_line_then_one_v_line(capsys, mixed6_file, comma
     assert re.fullmatch(r"s MAXIMUM \S+\nv( -?[1-9]\d*)* 0\n", out), out
 
 
+def test_oracle_prints_a_zero_maximum_unsigned(capsys, tmp_path):
+    path = tmp_path / "zero.xcnf"
+    path.write_text("p cnf 1 1\n1 0\nw 1 -0\n")
+    code, out, _ = run(capsys, ["oracle", str(path), "--format", "machine"])
+    assert code == 0
+    assert out.splitlines()[0] == "s MAXIMUM 0"
+
+
 def test_oracle_guard(capsys, tmp_path):
     path = tmp_path / "big.xcnf"
     path.write_text("p cnf 21 0\n")
@@ -432,8 +440,8 @@ OUT_OF_RANGE_TEXTS = {
 
 
 @pytest.mark.parametrize("name", OUT_OF_RANGE_TEXTS)
-@pytest.mark.parametrize("argv", [["oracle"], ["solve", "--mode", "log10", "--verify"]],
-                         ids=["oracle", "solve-verify"])
+@pytest.mark.parametrize("argv", [["oracle"], ["oracle", "--format", "machine"]],
+                         ids=["oracle", "oracle-machine"])
 def test_oracle_refuses_products_out_of_double_range(capsys, tmp_path, name, argv):
     path = tmp_path / f"{name}.xcnf"
     path.write_text(OUT_OF_RANGE_TEXTS[name])
@@ -442,6 +450,19 @@ def test_oracle_refuses_products_out_of_double_range(capsys, tmp_path, name, arg
     assert not any(l.startswith(("s ", "v ")) for l in out.splitlines())
     assert "double range" in err
     assert "--mode log10" not in err
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE_TEXTS)
+def test_log10_verify_answers_where_linear_products_leave_double_range(capsys, tmp_path,
+                                                                      name):
+    # the verifier tabulates in the solve's own value domain
+    path = tmp_path / f"{name}.xcnf"
+    path.write_text(OUT_OF_RANGE_TEXTS[name])
+    argv = ["solve", "--mode", "log10", "--format", "machine", str(path)]
+    code, verified, _ = run(capsys, [*argv, "--verify"])
+    assert code == 0
+    assert verified == run(capsys, argv)[1]
+    assert verified.startswith("s MAXIMUM ")
 
 
 def test_oracle_lists_no_maximizers(capsys, mixed6_file, monkeypatch):

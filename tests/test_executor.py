@@ -3,7 +3,9 @@ import math
 import random
 import sys
 import threading
+import time
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -26,6 +28,9 @@ from xormpe.oracle import CheckpointFailure, brute_solve, verify_checkpoints
 from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan, validate
 
 from conftest import FaultyManager, disj, injected_fault, solve_monolithic, xor
+
+
+MODES = ("linear", "log10")
 
 
 def plan_for(formula, heuristic=Heuristic.MIN_FILL):
@@ -517,36 +522,43 @@ def test_verify_passes_on_small_instances(mixed6, unit_weights, mixed6_tree):
 
 
 def test_verify_checks_each_state_once(mixed6, unit_weights, mixed6_tree, monkeypatch):
-    # once after setup, once per join (2) and once per projection (6), a
+    # one dense check per leaf (5), per join (2) and per projection (6), a
     # fused join and projection (at n8 and n9) counting as one projection
-    calls = 0
-    check = oracle._Verifier._check_active
+    calls = []
+    check = oracle._Verifier._check
 
-    def counting(verifier, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return check(verifier, *args, **kwargs)
+    def counting(verifier, checkpoint, *args, **kwargs):
+        calls.append(checkpoint)
+        return check(verifier, checkpoint, *args, **kwargs)
 
-    monkeypatch.setattr(oracle._Verifier, "_check_active", counting)
-    assert verify_checkpoints(mixed6, unit_weights, mixed6_tree) is None
-    assert calls == 9
+    monkeypatch.setattr(oracle._Verifier, "_check", counting)
+    for mode in MODES:
+        calls.clear()
+        assert verify_checkpoints(mixed6, unit_weights, mixed6_tree, mode=mode) is None
+        assert Counter(calls) == {"pre-condition": 5, "join-condition": 2,
+                                  "project-condition": 6}, mode
 
 
 def test_verify_guard():
-    formula = Formula(17, [])
+    # the bound is on the tree's width, not on the variable count
+    formula = Formula(21, [])
+    tree = plan_for(formula)
+    assert tree.width() == 21
     with pytest.raises(GuardError, match="verification limit"):
-        verify_checkpoints(formula, WeightFunction(), plan_for(formula))
+        verify_checkpoints(formula, WeightFunction(), tree)
 
 
 def test_fault_skip_weight_caught_at_project_condition():
     formula = Formula(1, [disj(1)])
     weights = WeightFunction({1: (10, 100)})
-    with injected_fault("skip_weight_join"):
-        failure = verify_checkpoints(formula, weights, plan_for(formula))
-    # the failure is the exception the checkpoint raised, returned
-    assert isinstance(failure, CheckpointFailure)
-    assert str(failure) == failure.message
-    assert (failure.checkpoint, failure.node, failure.variable) == ("project-condition", 1, 1)
+    for mode in MODES:
+        with injected_fault("skip_weight_join"):
+            failure = verify_checkpoints(formula, weights, plan_for(formula), mode=mode)
+        # the failure is the exception the checkpoint raised, returned
+        assert isinstance(failure, CheckpointFailure)
+        assert str(failure) == failure.message
+        assert (failure.checkpoint, failure.node, failure.variable) == \
+            ("project-condition", 1, 1), mode
 
 
 def test_fault_second_join_caught_at_its_node(mixed6, mixed6_tree):
@@ -554,10 +566,11 @@ def test_fault_second_join_caught_at_its_node(mixed6, mixed6_tree):
     # root's, of n9's valuation: max over x3, x5 of xor(3, 5), not both, and
     # their weights, the constant 2 * 0.25, which the fault leaves out
     weights = WeightFunction({v: (0.25, 2.0) for v in mixed6.variables})
-    with injected_fault("second_join_left"):
-        failure = verify_checkpoints(mixed6, weights, mixed6_tree)
-    assert failure is not None
-    assert (failure.checkpoint, failure.node) == ("join-condition", mixed6_tree.root)
+    for mode in MODES:
+        with injected_fault("second_join_left"):
+            failure = verify_checkpoints(mixed6, weights, mixed6_tree, mode=mode)
+        assert failure is not None
+        assert (failure.checkpoint, failure.node) == ("join-condition", mixed6_tree.root), mode
 
 
 def test_fault_drop_fused_operand_caught_at_project_condition():
@@ -566,42 +579,108 @@ def test_fault_drop_fused_operand_caught_at_project_condition():
     formula = Formula(2, [disj(1, 2), disj(-1)])
     tree = ProjectJoinTree(formula)
     tree.root = tree.add_internal([0, 1], [1, 2])
-    assert verify_checkpoints(formula, WeightFunction(), tree) is None
-    with injected_fault("drop_fused_operand"):
-        failure = verify_checkpoints(formula, WeightFunction(), tree)
-    assert failure is not None
-    assert (failure.checkpoint, failure.node, failure.variable) == \
-        ("project-condition", tree.root, 1)
+    for mode in MODES:
+        assert verify_checkpoints(formula, WeightFunction(), tree, mode=mode) is None
+        with injected_fault("drop_fused_operand"):
+            failure = verify_checkpoints(formula, WeightFunction(), tree, mode=mode)
+        assert failure is not None
+        assert (failure.checkpoint, failure.node, failure.variable) == \
+            ("project-condition", tree.root, 1), mode
 
 
 def test_fault_push_after_project_caught():
     formula = Formula(1, [disj(-1)])
     weights = WeightFunction()
-    with injected_fault("push_after_project"):
-        failure = verify_checkpoints(formula, weights, plan_for(formula))
-    assert isinstance(failure, CheckpointFailure)
-    assert (failure.checkpoint, failure.node, failure.variable) == ("maximizer-push", 1, 1)
+    for mode in MODES:
+        with injected_fault("push_after_project"):
+            failure = verify_checkpoints(formula, weights, plan_for(formula), mode=mode)
+        assert isinstance(failure, CheckpointFailure)
+        assert (failure.checkpoint, failure.node, failure.variable) == \
+            ("maximizer-push", 1, 1), mode
 
 
-def test_fault_clause_dropping_a_literal_caught_at_pre_condition(monkeypatch):
-    # x1 or x2 or x3 built as x2 or x3: stricter, so the solve's answer is
-    # still feasible and certified, but the factors no longer multiply to the
-    # weighted formula before any work
-    formula = Formula(3, [disj(1, 2, 3)])
-    from_clause = DiagramManager.from_clause
-
+def _dropping_lowest_literal(from_clause):
+    """from_clause, but a disjunction of three literals or more loses its
+    lowest one: a stricter clause, so every answer stays feasible."""
     def dropping(manager, clause):
         if clause.kind is ClauseKind.DISJUNCTION and len(clause.literals) >= 3:
             lowest = min(clause.literals, key=lambda lit: lit.var)
             clause = Clause(clause.kind, tuple(l for l in clause.literals if l != lowest))
         return from_clause(manager, clause)
 
-    monkeypatch.setattr(DiagramManager, "from_clause", dropping)
+    return dropping
+
+
+def test_fault_clause_dropping_a_literal_caught_at_pre_condition(monkeypatch):
+    # x1 or x2 or x3 built as x2 or x3: stricter, so the solve's answer is
+    # still feasible and certified, but leaf 0 is not its clause's indicator
+    formula = Formula(3, [disj(1, 2, 3)])
+    monkeypatch.setattr(DiagramManager, "from_clause",
+                        _dropping_lowest_literal(DiagramManager.from_clause))
     tree = plan_for(formula)
     assert solve(formula, WeightFunction(), tree).maximum == 1.0
     failure = verify_checkpoints(formula, WeightFunction(), tree)
     assert failure is not None
-    assert (failure.checkpoint, failure.node, failure.variable) == ("pre-condition", None, None)
+    assert (failure.checkpoint, failure.node, failure.variable) == ("pre-condition", 0, None)
+
+
+def test_verify_takes_each_child_exactly_once():
+    # the root starts from leaf 0's valuation; taking it again, or exiting
+    # with it as the root's function so far, leaves leaf 1 behind, which
+    # only the record of the children taken sees
+    formula = Formula(2, [disj(1), disj(2)])
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([0, 1], [1, 2])
+    for event in ("child_joined", "exit"):
+        verifier = oracle._Verifier(formula, WeightFunction(), tree)
+        manager = DiagramManager()
+        verifier.setup(manager)
+        leaves = [manager.from_clause(clause) for clause in formula.clauses]
+        for leaf, f in enumerate(leaves):
+            verifier.exit(leaf, f)
+        with pytest.raises(CheckpointFailure) as caught:
+            if event == "exit":
+                verifier.exit(tree.root, leaves[0])
+            else:
+                verifier.child_joined(tree.root, leaves[0], leaves[0],
+                                      manager.join(leaves[0], leaves[0]))
+        assert (caught.value.checkpoint, caught.value.node) == ("join-condition", tree.root)
+
+
+def test_fault_leaf_on_another_variable_caught_at_pre_condition(monkeypatch):
+    # clause x1 built as x2: leaf 0's table spans x1 alone
+    formula = Formula(2, [disj(1), disj(2)])
+    from_clause = DiagramManager.from_clause
+    monkeypatch.setattr(DiagramManager, "from_clause", lambda manager, clause: from_clause(
+        manager, disj(2) if clause == disj(1) else clause))
+    failure = verify_checkpoints(formula, WeightFunction(), plan_for(formula))
+    assert failure is not None
+    assert (failure.checkpoint, failure.node) == ("pre-condition", 0)
+    assert "x2" in failure.message
+
+
+def test_verify_catches_each_fault_at_sixty_variables(monkeypatch):
+    # a paper-shape instance: 60 variables and width 16 under min-fill; it
+    # has a model, without which skipping a weight leaves every table 0
+    formula, weights = gen_random(60, 45, 6, 0.5, 112)
+    tree = plan_for(formula)
+    assert tree.width() == 16
+    faults = {"skip_weight_join": "project-condition", "push_after_project": "maximizer-push",
+              "second_join_left": "join-condition", "drop_fused_operand": "project-condition"}
+    started = time.perf_counter()
+    for mode in MODES:
+        assert verify_checkpoints(formula, weights, tree, mode=mode) is None
+        for fault, checkpoint in faults.items():
+            with injected_fault(fault):
+                failure = verify_checkpoints(formula, weights, tree, mode=mode)
+            assert failure is not None and failure.checkpoint == checkpoint, (mode, fault)
+    monkeypatch.setattr(DiagramManager, "from_clause",
+                        _dropping_lowest_literal(DiagramManager.from_clause))
+    for mode in MODES:
+        failure = verify_checkpoints(formula, weights, tree, mode=mode)
+        assert failure is not None and failure.checkpoint == "pre-condition", mode
+        assert failure.node < tree.clause_count, mode
+    assert time.perf_counter() - started < 2.0
 
 
 def test_fault_root_value_off_caught_at_maximizer_const(monkeypatch):
@@ -639,23 +718,26 @@ def test_sign_with_swapped_weights_fails_only_the_push_check(monkeypatch):
     formula = Formula(2, [disj(1, 2)])
     weights = WeightFunction({1: (1, 2), 2: (1, 3)})
     tree = plan_for(formula)
-    assert verify_checkpoints(formula, weights, tree) is None
+    for mode in MODES:
+        assert verify_checkpoints(formula, weights, tree, mode=mode) is None
     corrupt_sign(monkeypatch, 2, lambda sign: sign._replace(w_neg=sign.w_pos,
                                                              w_pos=sign.w_neg))
-    failure = verify_checkpoints(formula, weights, tree)
-    assert failure is not None
-    assert (failure.checkpoint, failure.variable) == ("maximizer-push", 2)
+    for mode in MODES:
+        failure = verify_checkpoints(formula, weights, tree, mode=mode)
+        assert failure is not None
+        assert (failure.checkpoint, failure.variable) == ("maximizer-push", 2), mode
 
 
 def test_flipped_sign_passes_the_push_check_and_fails_its_pop(monkeypatch):
-    # the push check weighs the sign's record, which is intact, so only the
-    # pop that follows its flipped choice leaves every maximizer behind
+    # the push check compares the sign's record, which is intact, so only the
+    # pop that follows its flipped choice takes the lighter side
     formula = Formula(2, [disj(1, 2)])
     weights = WeightFunction({1: (1, 2), 2: (1, 3)})
     corrupt_sign(monkeypatch, 1, lambda sign: _FlippedSign(*sign))
-    failure = verify_checkpoints(formula, weights, plan_for(formula))
-    assert failure is not None
-    assert (failure.checkpoint, failure.variable) == ("maximizer-pop", 1)
+    for mode in MODES:
+        failure = verify_checkpoints(formula, weights, plan_for(formula), mode=mode)
+        assert failure is not None
+        assert (failure.checkpoint, failure.variable) == ("maximizer-pop", 1), mode
 
 
 @pytest.mark.parametrize("mode", ["linear", "log10"])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -84,6 +85,14 @@ def test_parse_comments_and_blank_lines():
 def test_weight_last_occurrence_wins():
     _, weights = parse_formula("p cnf 1 1\n1 0\nw 1 2.0\nw 1 3.5\nw -1 0.25\n")
     assert weights.pair(1) == (0.25, 3.5)
+
+
+def test_a_zero_weight_is_positive_zero():
+    # -0 passes the weight rule, as 0.0 <= -0.0; it is stored and printed as +0
+    formula, weights = parse_formula("p cnf 1 1\n1 0\nw 1 -0\n")
+    w_neg, w_pos = weights.pair(1)
+    assert (w_neg, w_pos, math.copysign(1.0, w_pos)) == (1.0, 0.0, 1.0)
+    assert "w 1 0.0\n" in format_formula(formula, weights)
 
 
 def test_weight_line_with_trailing_zero_terminator():

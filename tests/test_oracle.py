@@ -5,9 +5,11 @@ import pytest
 from xormpe.benchgen import gen_random
 from xormpe.diagram import DiagramManager
 from xormpe.errors import GuardError
-from xormpe.formula import Formula, WeightFunction, evaluate_formula, evaluate_weight
+from xormpe.executor import solve
+from xormpe.formula import (Formula, WeightFunction, evaluate_formula, evaluate_weight,
+                            parse_formula)
 from xormpe.oracle import brute_solve, verify_checkpoints
-from xormpe.planner import ProjectJoinTree
+from xormpe.planner import ProjectJoinTree, plan
 
 from conftest import disj, project_all, xor
 
@@ -122,8 +124,30 @@ def test_products_out_of_double_range_raise_guard_error(name):
         brute_solve(formula, weights)
     tree = ProjectJoinTree(formula)
     tree.root = tree.add_internal(range(len(formula.clauses)), formula.variables)
-    with pytest.raises(GuardError, match="double range"):
+    if name == "nan":
+        # the linear solve never forms 1e200 * 1e200: x1's projection tops at 1e200
+        assert verify_checkpoints(formula, weights, tree) is None
+    else:  # the diagram kernels' own guard
+        with pytest.raises(GuardError, match="double range"):
+            verify_checkpoints(formula, weights, tree)
+    assert verify_checkpoints(formula, weights, tree, mode="log10") is None
+
+
+def test_linear_verify_refuses_a_table_point_out_of_double_range():
+    # the linear solve keeps every offset in range, but the verifier's table
+    # for node 3's projection of x5 weighs x5 = 1 at 1e-200 * 1e-120 where
+    # x1 = 0, below double range, although the max takes the other side; the
+    # log10 verifier tabulates logarithms
+    formula, weights = parse_formula(
+        "p cnf 5 2\n2 0\nx -5 -4 1 0\n" + "".join(
+            f"w {lit} {w}\n" for lit, w in [(-1, 1e-120), (1, 1e120), (-2, 1e200), (2, 1.0),
+                                            (-3, 1e-200), (3, 1e-200), (-4, 1e-200),
+                                            (4, 1e-120), (-5, 1.0), (5, 1e-120)]))
+    tree = plan(formula, [3, 4, 5, 2, 1])
+    assert solve(formula, weights, tree).maximum == pytest.approx(1e-280, rel=1e-9)
+    with pytest.raises(GuardError, match="cannot tabulate"):
         verify_checkpoints(formula, weights, tree)
+    assert verify_checkpoints(formula, weights, tree, mode="log10") is None
 
 
 @pytest.mark.parametrize("formula, weights, maximum", [
