@@ -135,11 +135,18 @@ class _LargestDiagram(executor.Observer):
         self._keep(f)
 
 
+def _plan(formula, heuristic):
+    """A tree planned by `heuristic`, the recursion limit raised to fit it (never
+    lowered): kernels recurse a frame per variable of a node, and this is our process."""
+    tree = planner.plan(formula, planner.heuristic_order(formula, heuristic))
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * tree.width() + 200))
+    return tree
+
+
 def cmd_solve(args) -> int:
     formula, weights = _read_instance(args.input)
     plan_start = time.perf_counter()
-    order = planner.heuristic_order(formula, args.plan_heuristic)
-    tree = planner.plan(formula, order)
+    tree = _plan(formula, args.plan_heuristic)
     plan_time = time.perf_counter() - plan_start
 
     if args.verify:
@@ -205,8 +212,7 @@ def cmd_gen(args) -> int:
 
 
 def _is_satisfiable(formula, weights) -> bool:
-    order = planner.heuristic_order(formula, planner.Heuristic.MIN_FILL)
-    tree = planner.plan(formula, order)
+    tree = _plan(formula, planner.Heuristic.MIN_FILL)
     result = executor.solve(formula, weights, tree, mode="log10")
     return not result.no_model
 

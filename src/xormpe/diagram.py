@@ -45,7 +45,7 @@ out and keys on the four nodes and d, side 1's offset relative to side 0's:
 the linear sum is c0 (A + (c1 / c0) B). The kernels are built per operation
 and hold no reference to the manager, and the operation cache holds one
 join or elimination at a time, so no key carries a tag, variable or weight.
-`size` and `to_dot` share `_reachable`.
+`size` and `to_dot` share `_reachable`; both evaluations are `_path` walks.
 
 A node's level is its variable's index, so every manager orders variables by
 ascending index and takes no order; the terminal's record is `(_LEAF_LEVEL,
@@ -193,28 +193,14 @@ class DerivativeSign(NamedTuple):
     w_pos: float
     factor: Function | None = None
 
-    def weighed(self, assignment: dict[int, bool]) -> tuple[float, float]:
-        """The weighed product at var = 0 and at var = 1, in that order. var
-        is bound in `assignment` itself for the two evaluations (a copy per
-        sign would make reconstruction quadratic); the dict is left as given."""
-        times, var = self.function.manager._times, self.var
-        bound, old = var in assignment, assignment.get(var)
-        points = []
-        try:
-            for value in (False, True):
-                assignment[var] = value
-                point = self.function.evaluate(assignment)
-                if self.factor is not None:
-                    point = times(point, self.factor.evaluate(assignment))
-                points.append(point)
-        finally:
-            if bound:
-                assignment[var] = old
-            else:
-                del assignment[var]
-        return times(points[0], self.w_neg), times(points[1], self.w_pos)
+    def weighed(self, assignment: Assignment) -> tuple[float, float]:
+        """The weighed product at var = 0 and at var = 1, in that order, under
+        `assignment`, which is only read; a binding of var in it is ignored."""
+        manager = self.function.manager
+        low, high = manager.evaluate_cofactors(self.function, self.var, assignment, self.factor)
+        return manager._times(low, self.w_neg), manager._times(high, self.w_pos)
 
-    def choose(self, assignment: dict[int, bool]) -> bool:
+    def choose(self, assignment: Assignment) -> bool:
         low, high = self.weighed(assignment)
         return high >= low
 
@@ -291,14 +277,14 @@ class DiagramManager:
                 else:
                     c, node = mk(lit.var, one, _TERMINAL, c, node)
             return Function(self, c, node)
-        # xor: track both parities of the suffix; a negative literal swaps them
-        c_even, even, c_odd, odd = zero, _TERMINAL, one, _TERMINAL
-        for lit in deepest_first:
-            if not lit.positive:
-                c_even, even, c_odd, odd = c_odd, odd, c_even, even
-            (c_even, even), (c_odd, odd) = (mk(lit.var, c_even, even, c_odd, odd),
-                                            mk(lit.var, c_odd, odd, c_even, even))
-        return Function(self, c_even, even)
+        # xor: sides holds the suffix at even, then odd parity; a negative literal swaps them
+        *below, top = deepest_first
+        sides = (zero, _TERMINAL), (one, _TERMINAL)
+        for lit in below:
+            even, odd = sides if lit.positive else sides[::-1]
+            sides = mk(lit.var, *even, *odd), mk(lit.var, *odd, *even)
+        even, odd = sides if top.positive else sides[::-1]
+        return Function(self, *mk(top.var, *even, *odd))
 
     # ------------------------------------------------------------ combinators
 
@@ -511,19 +497,37 @@ class DiagramManager:
     def evaluate(self, f: Function, assignment: Assignment) -> float:
         """Follow one root-to-terminal path, taking in each edge's offset;
         every support variable must be bound."""
-        value, node = self._edge(f)
+        return self._path(*self._edge(f), assignment, 0)[0]
+
+    def evaluate_cofactors(self, f: Function, var: int, assignment: Assignment,
+                           h: Function | None = None) -> tuple[float, float]:
+        """f's values, times h's when given, at var = 0 and at var = 1, on
+        `evaluate`'s path forked at var, whatever `assignment` binds var to."""
+        low, high = self._path(*self._edge(f), assignment, var)
+        if h is None:
+            return low, high
+        h_low, h_high = self._path(*self._edge(h), assignment, var)
+        return self._times(low, h_low), self._times(high, h_high)
+
+    def _path(self, value: float, node: int, assignment: Assignment,
+              var: int) -> tuple[float, float]:
+        """The edge (value, node) at var = 0 and at var = 1 (var 0: no fork),
+        its offsets taken in path order; `assignment` is only read."""
         nodes, times = self._nodes, self._times
         while node != _TERMINAL:
-            var, low, low_off, high, high_off = nodes[node]
+            level, low, low_off, high, high_off = nodes[node]
+            if level == var:  # below var, neither path meets it again
+                return (self._path(times(value, low_off), low, assignment, 0)[0],
+                        self._path(times(value, high_off), high, assignment, 0)[0])
             try:
-                bound = assignment[var]
+                bound = assignment[level]
             except KeyError:
-                raise KeyError(f"variable {var} unbound during evaluation") from None
+                raise KeyError(f"variable {level} unbound during evaluation") from None
             if bound:
                 value, node = times(value, high_off), high
             else:
                 value, node = times(value, low_off), low
-        return value
+        return value, value
 
     def _reachable(self, root: int) -> set[int]:
         """Every node (the terminal included) reachable from root."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +30,7 @@ from typing import Callable
 from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
 from .formula import Assignment, Formula, WeightFunction, evaluate_formula
-from .planner import ProjectJoinTree, Violation, _checked_order
+from .planner import PjtNode, ProjectJoinTree, Violation, _checked_order
 
 _RTOL = 1e-9  # relative tolerance of the certificate, and of the checkpoints in oracle.py
 
@@ -94,20 +93,12 @@ class Observer:
         """`solve` only: var was assigned from its sign."""
 
 
-_recursion_lock = threading.Lock()
-
-
-def _allow_recursion(depth: int) -> None:
-    """The tree is walked in a loop, but the diagram kernels recurse one frame
-    per variable level, so a node over `depth` variables needs about `depth`
-    frames above its caller's. Raise the interpreter's limit when that may not
-    fit, and never lower it: a solve in another thread may rely on the higher
-    value."""
-    needed = 2 * depth + 200
-    if sys.getrecursionlimit() < needed:
-        with _recursion_lock:
-            if sys.getrecursionlimit() < needed:
-                sys.setrecursionlimit(needed)
+def _too_deep(node_id: int, node: PjtNode) -> GuardError:
+    """The diagram kernels recurse about one frame per variable of a tree node,
+    and a solve leaves the recursion limit as its caller set it."""
+    return GuardError(f"tree node {node_id} over {len(node.vars) + len(node.pi)} variables "
+                      f"outruns the recursion limit {sys.getrecursionlimit()}; "
+                      "raise it with sys.setrecursionlimit")
 
 
 def valuate(
@@ -128,7 +119,8 @@ def valuate(
     `manager.add_project` to count. `observer` receives every step.
 
     Leaf i is clause i. Before any work, a tree `validate` refuses raises
-    ValueError with its message: a `MalformedTree` for a bad shape."""
+    ValueError with its message: a `MalformedTree` for a bad shape. A join
+    or projection that outruns the recursion limit raises GuardError."""
     order = _checked_order(tree, formula)
     if isinstance(order, Violation):
         raise ValueError(order.message)
@@ -143,8 +135,6 @@ def valuate(
             f = manager.from_clause(formula.clauses[node_id])
         else:
             pjt_node = tree.nodes[node_id]
-            # every function met here depends only on vars and pi, which are disjoint
-            _allow_recursion(len(pjt_node.vars) + len(pjt_node.pi))
             # only the root may be childless (post_order), and only with no clauses (validate)
             children = pjt_node.children
             f = values.pop(children[0]) if children else manager.one()
@@ -152,12 +142,18 @@ def valuate(
             fused = values.pop(children[-1]) if len(children) > 1 and pjt_node.pi else None
             for child in children[1:-1] if fused is not None else children[1:]:
                 h = values.pop(child)
-                previous, f = f, manager.join(f, h)
+                try:
+                    previous, f = f, manager.join(f, h)
+                except RecursionError:
+                    raise _too_deep(node_id, pjt_node) from None
                 observer.child_joined(node_id, h, previous, f)
             for x in sorted(pjt_node.pi):
                 # the sign covers every remaining factor depending on x: f, h and x's weights
                 h, fused = fused, None
-                previous, f = f, project(f, x, *weights.pair(x), h, stack)
+                try:
+                    previous, f = f, project(f, x, *weights.pair(x), h, stack)
+                except RecursionError:
+                    raise _too_deep(node_id, pjt_node) from None
                 observer.projected(node_id, x, h, previous, f, stack[-1] if stack else None)
         observer.exit(node_id, f)
         values[node_id] = f

@@ -263,17 +263,10 @@ class _Verifier(Observer):
                                     f"root's constant {root!r}", node=self.tree.root)
 
     def popped(self, var: int, assignment: Assignment) -> None:
-        # both sides of var's sign, from its operands: var is bound in the
-        # executor's assignment for the two evaluations, then restored
-        sign, chosen, times = self.signs[var], assignment[var], self.manager._times
-        sides = []
-        for value, weight in ((False, sign.w_neg), (True, sign.w_pos)):
-            assignment[var] = value
-            side = sign.function.evaluate(assignment)
-            if sign.factor is not None:
-                side = times(side, sign.factor.evaluate(assignment))
-            sides.append(times(side, weight))
-        assignment[var] = chosen
+        # both sides of var's sign, from its operands
+        sign, chosen, manager = self.signs[var], assignment[var], self.manager
+        low, high = manager.evaluate_cofactors(sign.function, var, assignment, sign.factor)
+        sides = manager._times(low, sign.w_neg), manager._times(high, sign.w_pos)
         if sides[chosen] < sides[not chosen]:
             raise CheckpointFailure("maximizer-pop", f"x{var} = {int(chosen)} weighs "
                                     f"{sides[chosen]!r} < {sides[not chosen]!r}", variable=var)

@@ -188,7 +188,8 @@ def heuristic_order(formula: Formula, heuristic: Heuristic | str) -> list[int]:
         for u in neighbors:
             adjacency[u].discard(chosen)
             costs[u] -= len(adjacency[u] - neighbors) if fill else 1
-        for u in neighbors:
+        # a min-fill cost of 0: the neighbours are a clique already, no fill
+        for u in () if fill and not cost else neighbors:
             for v in neighbors - adjacency[u]:
                 if u < v:
                     if fill:

@@ -1,4 +1,5 @@
 import operator
+import sys
 from contextlib import contextmanager
 from functools import cache, partial
 
@@ -260,6 +261,18 @@ class FaultyManager(DiagramManager):
         if self.fault == "tie_break_low":
             return _TieToLowSign(*sign)
         return sign
+
+
+@contextmanager
+def recursion_limit(limit):
+    """Run the block at the interpreter's recursion limit `limit`, then put
+    back the limit it found: an in-process `main` may have raised it."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
 
 
 @contextmanager

@@ -15,7 +15,7 @@ from xormpe.formula import format_formula, parse_formula
 from xormpe.oracle import verify_checkpoints
 from xormpe.planner import Heuristic, heuristic_order, plan
 
-from conftest import MIXED6_TEXT, injected_fault
+from conftest import MIXED6_TEXT, injected_fault, recursion_limit
 
 UNIT_TEXT = "p cnf 1 1\n1 0\nw -1 10\nw 1 100\n"
 
@@ -131,6 +131,20 @@ def test_solve_verify_respects_limit(capsys, tmp_path):
     code, _, err = run(capsys, ["solve", str(path), "--verify"])
     assert code == 3
     assert "verification limit" in err
+
+
+def test_solve_raises_the_recursion_limit_for_a_wide_node(capsys, tmp_path):
+    # the library refuses a 1,200-variable node at limit 1,000; the command
+    # line owns its process, so it raises the limit to fit the tree it planned
+    literals = " ".join(map(str, range(1, 1201)))
+    path = tmp_path / "wide.xcnf"
+    path.write_text(f"p cnf 1200 1\n{literals} 0\n")
+    with recursion_limit(1000):
+        code, out, _ = run(capsys, ["solve", str(path), "--plan-heuristic", "lex",
+                                    "--format", "machine"])
+        assert sys.getrecursionlimit() == 2 * 1200 + 200
+    assert code == 0
+    assert out == f"s MAXIMUM 1\nv {literals} 0\n"
 
 
 class _Sizes(Observer):

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import weakref
+from types import MappingProxyType
 
 import pytest
 
@@ -656,8 +657,8 @@ def test_derivative_sign_ignores_independent_factors(mgr):
 
 @pytest.mark.parametrize("bound", [{}, {1: False}, {1: True}], ids=["unbound", "false", "true"])
 def test_sign_leaves_the_assignment_as_given(mgr, bound):
-    # the sign binds its variable in the caller's dict for its two
-    # evaluations and then restores it, also when an evaluation fails
+    # the sign only reads the caller's dict, whatever it binds the sign's
+    # variable to, also when an evaluation fails
     f = mgr.join(mgr.from_clause(xor(1, 2)), mgr.literal_weight(1, 10, 100))
     sign = mgr.derivative_sign(f, 1, 1.0, 2.0, mgr.from_clause(disj(1, 3)))
     for given in ({2: False, 3: False}, {2: True, 3: True}):
@@ -670,6 +671,31 @@ def test_sign_leaves_the_assignment_as_given(mgr, bound):
     with pytest.raises(KeyError):
         sign.choose(assignment)
     assert assignment == {3: True, **bound}
+
+
+def test_sign_reads_a_read_only_assignment(any_mgr):
+    # weighing only reads the assignment: a read-only view of a dict gives
+    # the values and the choice the dict gives
+    f = any_mgr.join(any_mgr.from_clause(xor(1, 2)), any_mgr.literal_weight(1, 10, 100))
+    for h in (None, any_mgr.from_clause(disj(1, 3))):
+        sign = any_mgr.derivative_sign(f, 1, 1.0, 2.0, h)
+        for assignment in assignments([1, 2, 3]):
+            view = MappingProxyType(assignment)
+            assert (sign.weighed(view), sign.choose(view)) == \
+                (sign.weighed(assignment), sign.choose(assignment))
+
+
+def test_cofactor_walk_matches_evaluate_bit_for_bit(any_mgr):
+    # each value is evaluate's at the assignment with var set, its offsets
+    # taken in the same order, whatever the assignment binds var to
+    rng = random.Random(23)
+    for _ in range(30):
+        f = random_nonneg_function(any_mgr, rng, rng.sample(range(1, 6), rng.randint(1, 4)))
+        f = any_mgr.join(f, any_mgr.literal_weight(rng.randint(1, 5), rng.random(), 3.0))
+        for var in range(1, 7):
+            for a in assignments(range(1, 6)):
+                expected = tuple(f.evaluate({**a, var: value}) for value in (False, True))
+                assert any_mgr.evaluate_cofactors(f, var, a) == expected
 
 
 # ------------------------------------------------------------------- evaluate
@@ -773,9 +799,9 @@ DOT_GOLDEN = {
   n2 [shape=oval, label="x2"];
   n2 -> n0 [style=solid, label="0"];
   n2 -> n0 [style=dashed, label="1"];
-  n6 [shape=oval, label="x1"];
-  n6 -> n2 [style=solid, label="0.333333"];
-  n6 -> n1 [style=dashed, label="1"];
+  n5 [shape=oval, label="x1"];
+  n5 -> n2 [style=solid, label="0.333333"];
+  n5 -> n1 [style=dashed, label="1"];
 }
 """,
     True: """digraph add {
@@ -787,9 +813,9 @@ DOT_GOLDEN = {
   n2 [shape=oval, label="x2"];
   n2 -> n0 [style=solid, label="-inf"];
   n2 -> n0 [style=dashed, label="0"];
-  n6 [shape=oval, label="x1"];
-  n6 -> n2 [style=solid, label="-0.477121"];
-  n6 -> n1 [style=dashed, label="0"];
+  n5 [shape=oval, label="x1"];
+  n5 -> n2 [style=solid, label="-0.477121"];
+  n5 -> n1 [style=dashed, label="0"];
 }
 """,
 }

@@ -6,6 +6,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -27,7 +28,8 @@ from xormpe.formula import (
 from xormpe.oracle import CheckpointFailure, brute_solve, verify_checkpoints
 from xormpe.planner import Heuristic, ProjectJoinTree, heuristic_order, plan, validate
 
-from conftest import FaultyManager, disj, injected_fault, solve_monolithic, xor
+from conftest import (FaultyManager, disj, injected_fault, recursion_limit, solve_monolithic,
+                      xor)
 
 
 MODES = ("linear", "log10")
@@ -740,6 +742,33 @@ def test_flipped_sign_passes_the_push_check_and_fails_its_pop(monkeypatch):
         assert (failure.checkpoint, failure.variable) == ("maximizer-pop", 1), mode
 
 
+def test_pop_check_reads_a_read_only_assignment(monkeypatch, mixed6, unit_weights, mixed6_tree):
+    # the pop check only reads the executor's assignment: through a read-only
+    # view it gives what the dict gives, a pass on a clean solve and the same
+    # failure on a flipped sign
+    formula = Formula(2, [disj(1, 2)])
+    weights = WeightFunction({1: (1, 2), 2: (1, 3)})
+
+    class ReadOnlyPops(oracle._Verifier):
+        def popped(self, var, assignment):
+            super().popped(var, MappingProxyType(assignment))
+
+    def verdicts():
+        clean = [verify_checkpoints(mixed6, unit_weights, mixed6_tree, mode=mode)
+                 for mode in MODES]
+        with monkeypatch.context() as patch:
+            corrupt_sign(patch, 1, lambda sign: _FlippedSign(*sign))
+            flipped = [verify_checkpoints(formula, weights, plan_for(formula), mode=mode)
+                       for mode in MODES]
+        return clean, [(f.checkpoint, f.variable, f.message) for f in flipped]
+
+    by_dict = verdicts()
+    assert by_dict[0] == [None, None]
+    assert [failure[:2] for failure in by_dict[1]] == [("maximizer-pop", 1)] * 2
+    monkeypatch.setattr(oracle, "_Verifier", ReadOnlyPops)
+    assert verdicts() == by_dict
+
+
 @pytest.mark.parametrize("mode", ["linear", "log10"])
 @pytest.mark.parametrize("formula, weights, message", [
     (Formula(2, [disj(1, 2)]), WeightFunction({1: (1, 2), 2: (1, 3)}), "weighs"),
@@ -884,11 +913,46 @@ def wide_clause_instance(width):
 
 def test_wide_shallow_tree_solves():
     formula, tree = wide_clause_instance(1200)
-    before = sys.getrecursionlimit()
-    result = solve(formula, WeightFunction(), tree)
-    assert result.maximum == 1.0
-    assert result.maximizer == {v: True for v in formula.variables}
-    assert sys.getrecursionlimit() >= before
+    with recursion_limit(2 * 1200 + 200):
+        before = sys.getrecursionlimit()
+        result = solve(formula, WeightFunction(), tree)
+        assert result.maximum == 1.0
+        assert result.maximizer == {v: True for v in formula.variables}
+        assert sys.getrecursionlimit() >= before
+
+
+def test_a_node_deeper_than_the_recursion_limit_is_refused():
+    # the library leaves the limit as its caller set it: the 1,200-variable
+    # node needs more frames than 1,000, so the solve raises GuardError
+    formula, tree = wide_clause_instance(1200)
+    with recursion_limit(1000):
+        with pytest.raises(GuardError, match=r"node 1 over 1200 variables .* limit 1000; "
+                                             r"raise it with sys\.setrecursionlimit"):
+            solve(formula, WeightFunction(), tree)
+        assert sys.getrecursionlimit() == 1000
+        # a node that fits answers
+        formula, tree = wide_clause_instance(900)
+        assert solve(formula, WeightFunction(), tree).maximum == 1.0
+        assert sys.getrecursionlimit() == 1000
+
+
+def test_wide_nodes_whose_kernels_stay_shallow_keep_the_recursion_limit():
+    # a root projecting 1,200 free variables, and a min-fill tree of width
+    # 882, take little depth: both answer at limit 1,000 and leave it there
+    empty = Formula(1200, [])
+    sparse, weights = gen_random(900, 10, 3, 0.5, 1)
+    sparse_tree = plan_for(sparse)
+    assert sparse_tree.width() == 882
+    with recursion_limit(1000):
+        result = solve(empty, WeightFunction(), plan_for(empty, Heuristic.LEXICOGRAPHIC))
+        assert (result.maximum, len(result.maximizer)) == (1.0, 1200)
+        assert sys.getrecursionlimit() == 1000
+        linear = solve(sparse, weights, sparse_tree)
+        log10 = solve(sparse, weights, sparse_tree, mode="log10")
+        assert math.isclose(math.log10(linear.maximum), log10.maximum, rel_tol=1e-9)
+        assert linear.maximizer == log10.maximizer
+        assert count(sparse, weights, sparse_tree) >= linear.maximum > 0
+        assert sys.getrecursionlimit() == 1000
 
 
 def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
@@ -913,7 +977,8 @@ def test_narrow_solve_in_another_thread_keeps_wide_solve_depth():
             assert not thread.is_alive()
 
     midway = NarrowSolveMidway()
-    result = solve(wide, WeightFunction(), wide_tree, observer=midway)
+    with recursion_limit(2 * 1500 + 200):
+        result = solve(wide, WeightFunction(), wide_tree, observer=midway)
     assert midway.ran
     assert result.maximum == 1.0
     assert all(result.maximizer.values())
