@@ -14,7 +14,7 @@ local checks cover any variable count, for trees up to DENSE_LIMIT wide.
 from __future__ import annotations
 
 import math
-import sys
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .diagram import _TERMINAL, DerivativeSign, Function
 from .errors import GuardError
 from .executor import _RTOL, Observer, solve
-from .formula import Assignment, ClauseKind, Formula, WeightFunction
+from .formula import Assignment, Clause, ClauseKind, Formula, WeightFunction
 from .planner import ProjectJoinTree
 
 DENSE_LIMIT = 20  # variables of the oracle's enumeration, and of a verified tree node
@@ -67,61 +67,42 @@ class OracleResult:
         return tuple(lits)
 
 
-def _bits(n: int) -> list[np.ndarray]:
-    """bits[var - 1] holds, at each of the 2^n points, whether var is set."""
-    indices = np.arange(1 << n, dtype=np.int64)
-    return [(indices >> (var - 1)) & 1 == 1 for var in range(1, n + 1)]
+def _axis(scope: Collection[int], var: int, values: list) -> np.ndarray:
+    """values[0] where var is 0 and values[1] where it is 1, on the axes of
+    scope, one per variable in its order."""
+    return np.reshape(values, [2 if v == var else 1 for v in scope])
 
 
-def _check_range(weights: WeightFunction, n: int) -> None:
-    """Raise GuardError unless every partial weight product the enumeration
-    takes, and their sum, is 0 or normal. Rounding is monotone, so products of
-    each variable's larger weight, and of its smaller nonzero one, bound them."""
-    high = low = 1.0
-    for var in range(1, n + 1):
-        nonzero = [w for w in weights.pair(var) if w]
-        if not nonzero:
-            return  # every product is exactly 0 from here on
-        high *= max(nonzero)
-        low *= min(nonzero)
-        if high == math.inf or low < sys.float_info.min:
-            break
-    if high * 2.0 ** n == math.inf or low < sys.float_info.min:
-        raise GuardError("linear weight products leave double range; "
-                         "the oracle cannot enumerate them")
+def _indicator(clause: Clause, scope: Collection[int]) -> np.ndarray:
+    """The clause's 0/1 table on the axes of scope."""
+    combine = np.logical_or if clause.kind is ClauseKind.DISJUNCTION else np.logical_xor
+    satisfied = np.zeros([1] * len(scope), dtype=bool)
+    for lit in clause.literals:
+        satisfied = combine(satisfied, _axis(scope, lit.var, [not lit.positive, lit.positive]))
+    return satisfied
 
 
 def brute_solve(formula: Formula, weights: WeightFunction) -> OracleResult:
     """Enumerate all assignments; return the maximum, its witnesses, and the
     weighted model count. Raises GuardError beyond DENSE_LIMIT variables and
-    when linear weight products leave double range."""
+    when a weight product it takes, or the sum, leaves double range (by the
+    numpy rule of a linear `verify_checkpoints`)."""
     n = formula.var_count
     if n > DENSE_LIMIT:
         raise GuardError(f"oracle limit exceeded: {n} > {DENSE_LIMIT} variables")
-    _check_range(weights, n)
-    size = 1 << n
-    bits = _bits(n)
-
-    products = np.ones(size, dtype=np.float64)
-    for var in range(1, n + 1):
-        w_neg, w_pos = weights.pair(var)
-        products *= np.where(bits[var - 1], w_pos, w_neg)
-
-    satisfied = np.ones(size, dtype=bool)
-    for clause in formula.clauses:
-        combine = np.logical_or if clause.kind is ClauseKind.DISJUNCTION else np.logical_xor
-        value = np.zeros(size, dtype=bool)
-        for lit in clause.literals:
-            combine(value, bits[lit.var - 1] == lit.positive, out=value)
-        satisfied &= value
-
-    values = products * satisfied
-    return OracleResult(
-        maximum=float(values.max()),
-        wmc=float(values.sum()),
-        var_count=n,
-        values=values,
-    )
+    scope = range(n, 0, -1)  # var 1 is the last axis: point i sets var at bit var - 1
+    try:
+        with np.errstate(over="raise", under="raise"):
+            values = np.array(1.0)
+            for var in range(1, n + 1):
+                values = values * _axis(scope, var, weights.pair(var))
+            for clause in formula.clauses:
+                values *= _indicator(clause, scope)
+            maximum, wmc = float(values.max()), float(values.sum())
+    except FloatingPointError as exc:
+        raise GuardError("linear weight products leave double range; "
+                         "the oracle cannot enumerate them") from exc
+    return OracleResult(maximum=maximum, wmc=wmc, var_count=n, values=values.reshape(-1))
 
 
 # --------------------------------------------------------------- verification
@@ -182,10 +163,6 @@ class _Verifier(Observer):
                 return self.valuations.pop(child)
         self._fail("join-condition", f"node {self.node} takes {h!r}, no untaken child's valuation")
 
-    def _axis(self, var: int, values: list) -> np.ndarray:
-        """values[0] where var is 0 and values[1] where it is 1."""
-        return np.reshape(values, [2 if v == var else 1 for v in self.scope])
-
     def _table(self, f: Function, checkpoint: str) -> np.ndarray:
         """f at every point of the node. A diagram node's table spans the
         trailing axes, from its own variable on, so numpy tiles it across
@@ -235,7 +212,7 @@ class _Verifier(Observer):
         if sign != DerivativeSign(var, previous, w_neg, w_pos, h):  # solve records every sign
             self._fail("maximizer-push", f"sign {sign!r} is not x{var}'s at node {node}", var)
         self.signs[var] = sign
-        product = self.times(product, self._axis(var, [w_neg, w_pos]))
+        product = self.times(product, _axis(self.scope, var, [w_neg, w_pos]))
         self._check("project-condition", result, product.max(self.scope[var], keepdims=True),
                     f"x{var}'s projection at node {node} is not its operands' max", var)
         self.so_far = result
@@ -243,11 +220,7 @@ class _Verifier(Observer):
     def exit(self, node: int, f: Function) -> None:
         if node < self.tree.clause_count:
             self._at(node)
-            satisfied = np.zeros([1] * len(self.scope), dtype=bool)
-            clause = self.formula.clauses[node]
-            combine = np.logical_or if clause.kind is ClauseKind.DISJUNCTION else np.logical_xor
-            for lit in clause.literals:
-                satisfied = combine(satisfied, self._axis(lit.var, [False, True]) == lit.positive)
+            satisfied = _indicator(self.formula.clauses[node], self.scope)
             self._check("pre-condition", f, np.where(satisfied, self.unit, self.zero),
                         f"leaf {node} is not its clause's indicator")
         else:

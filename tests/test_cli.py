@@ -237,7 +237,7 @@ def test_gen_chain_writes_conventional_name(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("module", ["xormpe", "xormpe.cli"])
-def test_module_form_runs_the_cli(tmp_path, module):
+def test_module_form_runs_the_cli(tmp_path, unit_file, module):
     env = {**os.environ, "PYTHONPATH": str(Path(xormpe.__file__).resolve().parent.parent)}
 
     def run_module(*args):
@@ -250,6 +250,9 @@ def test_module_form_runs_the_cli(tmp_path, module):
     solved = run_module("solve", "c.xcnf")
     assert solved.returncode == 0
     assert "s MAXIMUM" in solved.stdout
+    machine = run_module("solve", unit_file, "--format", "machine")
+    assert machine.returncode == 0, machine.stderr
+    assert machine.stdout == "s MAXIMUM 100\nv 1 0\n"
 
 
 NUMPY_FREE_SCRIPT = """
@@ -464,6 +467,16 @@ def test_oracle_refuses_products_out_of_double_range(capsys, tmp_path, name, arg
     assert not any(l.startswith(("s ", "v ")) for l in out.splitlines())
     assert "double range" in err
     assert "--mode log10" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_oracle_answers_where_every_product_fits(capsys, tmp_path, command):
+    # the largest product, 1e300 * 1e8, and the sum of all four fit in double range
+    path = tmp_path / "bound.xcnf"
+    path.write_text("p cnf 2 1\n1 2 0\nw 1 1e300\nw 2 1e8\n")
+    code, out, _ = run(capsys, [command, str(path), "--format", "machine"])
+    assert code == 0
+    assert out == "s MAXIMUM 1e+308\nv 1 2 0\n"
 
 
 @pytest.mark.parametrize("name", OUT_OF_RANGE_TEXTS)

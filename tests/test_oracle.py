@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -157,6 +158,19 @@ def test_linear_verify_refuses_a_table_point_out_of_double_range():
     (Formula(2, [disj(1, 2)]), WeightFunction({1: (1, 1e-150), 2: (1, 1e-150)}), 1e-150),
     # a variable that weighs 0 both ways zeroes every product before they overflow
     (Formula(3, []), WeightFunction({1: (0, 0), 2: (1e300, 1e300), 3: (1e300, 1e300)}), 0.0),
+    # every product and their sum fit, though 1e308 times the 4 points overflows
+    (Formula(2, [disj(1, 2)]), WeightFunction({1: (1, 1e300), 2: (1, 1e8)}), 1e308),
 ])
 def test_products_in_double_range_are_enumerated(formula, weights, maximum):
     assert brute_solve(formula, weights).maximum == maximum
+
+
+def test_enumeration_peaks_below_three_full_tables():
+    formula, weights = gen_random(20, 16, 6, 0.5, 3)
+    tracemalloc.start()
+    try:
+        brute_solve(formula, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 << 20  # three float64 tables of 2^20 points
