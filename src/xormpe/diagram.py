@@ -60,7 +60,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import GuardError
-from .formula import Assignment, Clause, ClauseKind, _check_weight
+from .formula import Assignment, Clause, ClauseKind, _check_index, _check_weight
 
 _NEG_INF = float("-inf")
 _TERMINAL = 0  # the one terminal node, the unit constant
@@ -230,9 +230,6 @@ class DiagramManager:
 
     # ------------------------------------------------------------------ nodes
 
-    def is_terminal(self, node: int) -> bool:
-        return node == _TERMINAL
-
     def _edge(self, f: Function) -> tuple[float, int]:
         if f.manager is not self:
             raise ValueError("function belongs to a different manager")
@@ -250,10 +247,7 @@ class DiagramManager:
 
     def _weights(self, var: int, w_neg: float, w_pos: float) -> tuple[float, float]:
         """var's linear-domain weights, checked, in the manager's value domain."""
-        if not isinstance(var, int) or isinstance(var, bool):
-            raise ValueError(f"variable index must be an int, got {var!r}")
-        if var < 1:
-            raise ValueError(f"variable index {var} is not positive")
+        _check_index(var)
         w_neg, w_pos = _check_weight(w_neg), _check_weight(w_pos)
         if self.log_mode:
             return (math.log10(w_neg) if w_neg > 0 else _NEG_INF,

@@ -36,6 +36,13 @@ class ParseError(Exception):
         self.line = line
 
 
+def _check_index(value: int, low: int = 1, what: str = "variable index") -> int:
+    # a variable index's one rule; a bool is an int that would print as "True"
+    if isinstance(value, int) and not isinstance(value, bool) and value >= low:
+        return value
+    raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 class ClauseKind(enum.Enum):
     DISJUNCTION = "or"
     XOR = "xor"
@@ -47,9 +54,7 @@ class Literal:
     positive: bool
 
     def __post_init__(self):
-        # a bool is an int that would be written out as "True"
-        if not isinstance(self.var, int) or isinstance(self.var, bool) or self.var < 1:
-            raise ValueError(f"variable index must be an integer >= 1, got {self.var!r}")
+        _check_index(self.var)
 
     def to_int(self) -> int:
         return self.var if self.positive else -self.var
@@ -94,9 +99,7 @@ class Formula:
     clauses: list[Clause]
 
     def __post_init__(self):
-        if (not isinstance(self.var_count, int) or isinstance(self.var_count, bool)
-                or self.var_count < 0):
-            raise ValueError(f"variable count must be an integer >= 0, got {self.var_count!r}")
+        _check_index(self.var_count, 0, "variable count")
         for i, clause in enumerate(self.clauses):
             for lit in clause.literals:
                 if lit.var > self.var_count:
@@ -131,9 +134,7 @@ class WeightFunction:
         self._pairs: dict[int, tuple[float, float]] = {}
         if pairs:
             for var, (w_neg, w_pos) in pairs.items():
-                if not isinstance(var, int) or isinstance(var, bool) or var < 1:
-                    raise ValueError(f"variable index must be an integer >= 1, got {var!r}")
-                self._pairs[var] = (_check_weight(w_neg), _check_weight(w_pos))
+                self._pairs[_check_index(var)] = (_check_weight(w_neg), _check_weight(w_pos))
 
     def set_literal(self, lit: int, weight: float) -> None:
         """Set the weight of one literal (positive lit: the 1-polarity)."""
@@ -303,8 +304,16 @@ def evaluate_formula(formula: Formula, assignment: Assignment) -> bool:
 
 
 def evaluate_weight(weights: WeightFunction, assignment: Assignment) -> float:
-    """Product of the chosen-polarity weights over all assigned variables."""
-    product = 1.0
+    """Product of the chosen-polarity weights over all assigned variables,
+    kept as a mantissa and a binary exponent (`math.frexp`), so no partial
+    product leaves double range: where none would, it equals the running
+    product bit for bit; a product beyond range is inf or rounds to 0.0."""
+    mantissa, exponent = 1.0, 0
     for var in sorted(assignment):
-        product *= weights.weight(var, assignment[var])
-    return product
+        m, e = math.frexp(weights.weight(var, assignment[var]))
+        mantissa, shift = math.frexp(mantissa * m)
+        exponent += e + shift
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf

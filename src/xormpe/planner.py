@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -160,20 +161,23 @@ def heuristic_order(formula: Formula, heuristic: Heuristic | str) -> list[int]:
 
     Costs live in a dict and the minimum comes off a lazy heap of (cost, var)
     entries; an entry whose cost is out of date is skipped. `_cost` runs once
-    per vertex; each elimination then applies its exact changes, so orders
-    match a rescan of every vertex at every step. Eliminating `chosen` with
-    neighbours N drops it from each u in N, which loses one degree, or for
-    min-fill the |N(u) - N| pairs (chosen, w) it was missing. Then each fill
-    edge (a, b), with C = N(a) & N(b) before it, gives a and b one degree
-    each, or for min-fill |N(a)| - |C| and |N(b)| - |C| new missing pairs, and
-    closes one pair of each c in C. Each touched vertex goes back on the heap.
+    per vertex, with no set work for a variable of at most one clause, whose
+    neighbours are a clique (min-fill cost 0). Each elimination then applies
+    its exact changes, so orders match a rescan of every vertex at every
+    step. Eliminating `chosen` with neighbours N drops it from each u in N,
+    which loses one degree, or for min-fill the |N(u) - N| pairs (chosen, w)
+    it was missing, |N(u)| - |N| + 1 if N is a clique. Then each fill edge
+    (a, b), with C = N(a) & N(b) before it, gives a and b one degree each, or
+    for min-fill |N(a)| - |C| and |N(b)| - |C| new missing pairs, and closes
+    one pair of each c in C. Each touched vertex goes back on the heap.
     """
     heuristic = Heuristic(heuristic)
     if heuristic is Heuristic.LEXICOGRAPHIC:
         return list(formula.variables)
     fill = heuristic is Heuristic.MIN_FILL
     adjacency = primal_graph(formula)
-    costs = {v: _cost(adjacency, v, heuristic) for v in adjacency}
+    clauses = Counter(lit.var for clause in formula.clauses for lit in clause.literals)
+    costs = {v: _cost(adjacency, v, heuristic, clauses[v] < 2) for v in adjacency}
     heap = [(cost, v) for v, cost in costs.items()]
     heapq.heapify(heap)
     order: list[int] = []
@@ -187,7 +191,10 @@ def heuristic_order(formula: Formula, heuristic: Heuristic | str) -> list[int]:
         touched = set(neighbors)
         for u in neighbors:
             adjacency[u].discard(chosen)
-            costs[u] -= len(adjacency[u] - neighbors) if fill else 1
+            if fill and not cost:  # N is a clique: u already sees N - {u}
+                costs[u] -= len(adjacency[u]) - len(neighbors) + 1
+            else:
+                costs[u] -= len(adjacency[u] - neighbors) if fill else 1
         # a min-fill cost of 0: the neighbours are a clique already, no fill
         for u in () if fill and not cost else neighbors:
             for v in neighbors - adjacency[u]:
@@ -209,14 +216,18 @@ def heuristic_order(formula: Formula, heuristic: Heuristic | str) -> list[int]:
     return order
 
 
-def _cost(adjacency: dict[int, set[int]], var: int, heuristic: Heuristic) -> int:
+def _cost(adjacency: dict[int, set[int]], var: int, heuristic: Heuristic,
+          clique: bool) -> int:
     """Degree, or for min-fill the number of non-adjacent neighbour pairs:
-    all d(d-1)/2 pairs less the edges among the neighbours, each of which
-    the sum of |N(var) ∩ N(u)| over u in N(var) counts twice."""
+    0 when `clique` says the neighbours are pairwise adjacent, else all
+    d(d-1)/2 pairs less the edges among the neighbours, each of which the
+    sum of |N(var) ∩ N(u)| over u in N(var) counts twice."""
     neighbors = adjacency[var]
     d = len(neighbors)
     if heuristic is Heuristic.MIN_DEGREE:
         return d
+    if clique:
+        return 0
     return (d * (d - 1) - sum(len(neighbors & adjacency[u]) for u in neighbors)) // 2
 
 

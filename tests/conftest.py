@@ -6,7 +6,7 @@ from functools import cache, partial
 import pytest
 
 from xormpe import executor
-from xormpe.diagram import DerivativeSign, DiagramManager, Function
+from xormpe.diagram import _TERMINAL, DerivativeSign, DiagramManager, Function
 from xormpe.formula import Clause, ClauseKind, Formula, Literal, WeightFunction
 from xormpe.planner import Heuristic, ProjectJoinTree, Violation, primal_graph
 
@@ -49,7 +49,7 @@ def support(f):
     """Variables appearing on some root-to-terminal path of f."""
     mgr = f.manager
     return {mgr._nodes[node][0] for node in mgr._reachable(f.node)
-            if not mgr.is_terminal(node)}
+            if node != _TERMINAL}
 
 
 def add(f, g):
@@ -66,7 +66,7 @@ def add(f, g):
 
     @cache
     def rec(cu, u, cv, v):
-        if mgr.is_terminal(u) and mgr.is_terminal(v):
+        if u == v == _TERMINAL:
             return cu + cv, u
         top = min(nodes[u][0], nodes[v][0])
         (u0, u1), (v0, v1) = cofactors(cu, u, top), cofactors(cv, v, top)

@@ -154,6 +154,25 @@ def test_evaluate_weight():
     weights = WeightFunction({1: (10, 100), 2: (100, 10)})
     assert evaluate_weight(weights, {1: True, 2: True}) == 1000.0
     assert evaluate_weight(WeightFunction({1: (0, 5)}), {1: False}) == 0.0
+    # a running product of these weights underflows to 0.0 after two factors
+    mixed = WeightFunction({1: (1, 1e-200), 2: (1, 1e-200), 3: (1, 1e200), 4: (1, 1e200)})
+    assert evaluate_weight(mixed, dict.fromkeys(range(1, 5), True)) == \
+        pytest.approx(1.0, rel=1e-15)
+    # where every partial product is in range, the running product bit for bit
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 25)
+        weights = WeightFunction({v: (10 ** rng.uniform(-12, 12), 10 ** rng.uniform(-12, 12))
+                                  for v in range(1, n + 1)})
+        assignment = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+        product = 1.0
+        for var in sorted(assignment):
+            product *= weights.weight(var, assignment[var])
+        assert evaluate_weight(weights, assignment) == product
+    # a product out of double range overflows to inf, or underflows to 0.0
+    both = {1: True, 2: True}
+    assert evaluate_weight(WeightFunction({1: (1, 1e200), 2: (1, 1e200)}), both) == math.inf
+    assert evaluate_weight(WeightFunction({1: (1, 1e-200), 2: (1, 1e-200)}), both) == 0.0
 
 
 def test_evaluate_weight_multiplicative_over_disjoint_sets():

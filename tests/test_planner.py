@@ -266,6 +266,39 @@ def test_cost_is_computed_once_per_vertex(heuristic, monkeypatch):
     assert calls == formula.var_count
 
 
+def test_min_fill_orders_a_long_clause_without_intersecting_sets(monkeypatch):
+    # a clause is a clique of the primal graph; intersecting each neighbour
+    # set with every neighbour's took cubic time on one this long
+    n = 1200
+    formula = Formula(n, [disj(*range(1, n + 1))])
+    calls = intersecting = 0
+    cost = planner._cost
+
+    def counting(adjacency, var, heuristic, clique):
+        nonlocal calls, intersecting
+        calls += 1
+        intersecting += heuristic is Heuristic.MIN_FILL and not clique
+        return cost(adjacency, var, heuristic, clique)
+
+    monkeypatch.setattr(planner, "_cost", counting)
+    assert heuristic_order(formula, Heuristic.MIN_FILL) == list(range(1, n + 1))
+    assert (calls, intersecting) == (n, 0)
+
+
+@pytest.mark.parametrize("heuristic", [Heuristic.MIN_DEGREE, Heuristic.MIN_FILL])
+def test_orders_match_reference_with_a_long_clause(heuristic):
+    # the long clause's variables that no short clause holds start at cost 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        n = 50
+        clauses = [disj(*rng.sample(range(1, n + 1), 40))]
+        for _ in range(12):
+            make = xor if rng.random() < 0.5 else disj
+            clauses.append(make(*rng.sample(range(1, n + 1), rng.randint(1, 3))))
+        formula = Formula(n, clauses)
+        assert heuristic_order(formula, heuristic) == reference_order(formula, heuristic)
+
+
 def test_heuristic_order_takes_a_heuristic_value():
     formula = gen_random(12, 10, 4, 0.5, 3)[0]
     assert heuristic_order(formula, "lex") == list(range(1, 13))
