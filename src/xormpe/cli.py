@@ -179,12 +179,12 @@ def cmd_plan(args) -> int:
     violation = planner.validate(tree, formula)
     if violation is not None:
         raise InternalError(f"planned tree is invalid: {violation.message}")
-    text = tree.to_jt_text()
-    print(f"c width {tree.width()}")
-    if args.out:
+    text, width = tree.to_jt_text(), f"c width {tree.width()}\n"
+    if args.out:  # the file first, as every writer does: no report of a failed write
         Path(args.out).write_text(text, encoding="utf-8")
+        sys.stdout.write(width)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(width + text)
     return 0
 
 

@@ -45,7 +45,10 @@ out and keys on the four nodes and d, side 1's offset relative to side 0's:
 the linear sum is c0 (A + (c1 / c0) B). The kernels are built per operation
 and hold no reference to the manager, and the operation cache holds one
 join or elimination at a time, so no key carries a tag, variable or weight.
-`size` and `to_dot` share `_reachable`; both evaluations are `_path` walks.
+`mk` appends a node only after both its children exist, so node ids ascend
+from children to parents. `_reachable` is the one walk over a whole diagram:
+`size`, `to_dot` and the checkpoint verifier's tables (`oracle`, by
+ascending id) share it; both evaluations are `_path` walks.
 
 A node's level is its variable's index, so every manager orders variables by
 ascending index and takes no order; the terminal's record is `(_LEAF_LEVEL,
@@ -170,9 +173,6 @@ class Function:
             and self.node == other.node
             and self.offset == other.offset
         )
-
-    def __hash__(self) -> int:
-        return hash((id(self.manager), self.offset, self.node))
 
     def __repr__(self) -> str:
         return f"Function(offset={self.offset!r}, node={self.node})"

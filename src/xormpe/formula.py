@@ -248,7 +248,10 @@ def _literal(token: str, var_count: int) -> int:
 def _parse_weight_line(tokens, weights, var_count):
     if len(tokens) < 3:
         raise ValueError("malformed weight line")
-    weights.set_literal(_literal(tokens[1], var_count), _number(float, tokens[2]))
+    lit, weight = _literal(tokens[1], var_count), _number(float, tokens[2])
+    if weight == 0.0 and any(c in "123456789" for c in tokens[2].lower().partition("e")[0]):
+        raise ValueError(f"weight {tokens[2]!r} is nonzero but reads as 0.0 below double range")
+    weights.set_literal(lit, weight)
     if tokens[3:] not in ([], ["0"]):
         raise ValueError("malformed weight line")
 

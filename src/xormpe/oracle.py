@@ -164,24 +164,20 @@ class _Verifier(Observer):
         self._fail("join-condition", f"node {self.node} takes {h!r}, no untaken child's valuation")
 
     def _table(self, f: Function, checkpoint: str) -> np.ndarray:
-        """f at every point of the node. A diagram node's table spans the
-        trailing axes, from its own variable on, so numpy tiles it across
-        the levels its parents skip; a variable off the node fails."""
+        """f at every point of the node, tabulated by ascending node id, so
+        children first. A diagram node's table spans the trailing axes, from
+        its own variable on, so numpy tiles it across the levels its parents
+        skip; a variable off the node fails."""
         nodes, scope, times = self.manager._nodes, self.scope, self.times
-        tables: dict[int, np.ndarray] = {_TERMINAL: np.array(self.unit)}
-
-        def table(node: int) -> np.ndarray:
-            result = tables.get(node)
-            if result is None:
-                var, low, low_off, high, high_off = nodes[node]
-                if var not in scope:
-                    self._fail(checkpoint, f"a function of node {self.node} depends on x{var}")
-                result = tables[node] = np.empty((2,) * (len(scope) - scope[var]))
-                times(low_off, table(low), out=result[0, ...])
-                times(high_off, table(high), out=result[1, ...])
-            return result
-
-        return np.broadcast_to(times(f.offset, table(f.node)), (2,) * len(scope))
+        tables = {_TERMINAL: np.array(self.unit)}
+        for node in sorted(self.manager._reachable(f.node))[1:]:  # the terminal is id 0
+            var, low, low_off, high, high_off = nodes[node]
+            if var not in scope:
+                self._fail(checkpoint, f"a function of node {self.node} depends on x{var}")
+            table = tables[node] = np.empty((2,) * (len(scope) - scope[var]))
+            times(low_off, tables[low], out=table[0, ...])
+            times(high_off, tables[high], out=table[1, ...])
+        return np.broadcast_to(times(f.offset, tables[f.node]), (2,) * len(scope))
 
     def _check(self, checkpoint: str, f: Function, expected: np.ndarray, message: str,
                variable: int | None = None) -> None:

@@ -100,6 +100,16 @@ def test_solve_parse_error(capsys, tmp_path):
     assert "negative weight" in err
 
 
+@pytest.mark.parametrize("mode", ["log10", "linear"])
+def test_solve_refuses_a_nonzero_weight_that_reads_as_zero(capsys, tmp_path, mode):
+    # the optimum is 10^-400, which a double cannot hold: no answer beats a wrong one
+    path = tmp_path / "tiny.xcnf"
+    path.write_text("p cnf 1 1\n1 0\nw 1 1e-400\n")
+    code, out, err = run(capsys, ["solve", str(path), "--mode", mode])
+    assert (code, out) == (2, "")
+    assert "line 3" in err and "'1e-400'" in err
+
+
 def test_solve_unsatisfiable_flagged(capsys, tmp_path):
     path = tmp_path / "unsat.xcnf"
     path.write_text("p cnf 1 2\n1 0\n-1 0\n")
@@ -209,6 +219,12 @@ def test_plan_reports_width(capsys, mixed6_file, tmp_path):
     assert out.splitlines()[0].startswith("c width ")
     text = out_path.read_text()
     assert text.startswith("p jt 6 5 ")
+
+
+def test_plan_out_writes_before_it_reports(capsys, tmp_path, unit_file):
+    code, out, err = run(capsys, ["plan", unit_file, "--out", str(tmp_path / "no" / "tree.jt")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_plan_stdout(capsys, unit_file):

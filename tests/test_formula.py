@@ -95,6 +95,29 @@ def test_a_zero_weight_is_positive_zero():
     assert "w 1 0.0\n" in format_formula(formula, weights)
 
 
+@pytest.mark.parametrize("token", ["1e-400", "1e-324", ".5e-400"])
+def test_a_nonzero_weight_that_reads_as_zero_is_refused(token):
+    with pytest.raises(ParseError, match="double range") as err:
+        parse_formula(f"p cnf 1 1\n1 0\nw -1 0.5\nw 1 {token}\n")
+    assert err.value.line == 4
+    assert repr(token) in str(err.value)
+
+
+def test_only_a_zero_mantissa_reads_as_zero():
+    for token in ("0e-400", "0.000", "-0"):
+        _, weights = parse_formula(f"p cnf 1 1\n1 0\nw 1 {token}\n")
+        w_pos = weights.pair(1)[1]
+        assert (w_pos, math.copysign(1.0, w_pos)) == (0.0, 1.0), token
+    with pytest.raises(ParseError, match="line 3: weight '2e-324'"):
+        parse_formula("p cnf 1 1\n1 0\nw 1 2e-324\n")
+    # the smallest subnormal is in range, so a library-made one round-trips
+    tiny = math.ulp(0.0)
+    formula, weights = parse_formula("p cnf 1 1\n1 0\nw 1 5e-324\n")
+    assert weights.pair(1) == (1.0, tiny)
+    made = WeightFunction({1: (tiny, 1.0)})
+    assert parse_formula(format_formula(formula, made))[1] == made
+
+
 def test_weight_line_with_trailing_zero_terminator():
     _, weights = parse_formula("p cnf 1 1\n1 0\nw 1 2.0 0\n")
     assert weights.pair(1) == (1.0, 2.0)
