@@ -221,8 +221,8 @@ def cmd_oracle(args) -> int:
     from .oracle import brute_solve  # loads numpy
     formula, weights = _read_instance(args.input)
     answer = brute_solve(formula, weights)
-    _emit_answer(args.format, [f"WMC {_fmt(answer.wmc)}"], answer.maximum,
-                 list(answer.witness()))
+    details = [f"WMC {_fmt(answer.wmc)}"] if args.format == "human" else []
+    _emit_answer(args.format, details, answer.maximum, list(answer.witness()))
     return 0
 
 

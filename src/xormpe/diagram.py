@@ -32,21 +32,22 @@ A value enters a manager only as a linear-domain weight, checked by
 `formula._check_weight` as the parser's are, and leaves it by `evaluate`; a
 constant c is `literal_weight(x, c, c)`, which reduces to the terminal.
 
-`_walk` runs the two kernels. The join multiplies two functions: it caches
+`_walk` runs both operations. The join multiplies two functions as the
+elimination of variable 0, which none depends on: its product kernel caches
 node pairs and multiplies their offsets. The projection eliminates a
-variable x with its literal weights, from one function f or from the
-product f h of two (the relational product, CUDD's `AndAbstract`): it
-rebuilds the pairs (u, v) of nodes above x and, below x, walks the two
-cofactor sides together, each side a product of two nodes times an offset,
-and emits the max (`exists_project`) or the sum (`add_project`) of the
-sides. A side's offset carries the weight of its polarity, so neither f h
-nor a weighted cofactor is built. Below x, the walk factors side 0's offset
-out and keys on the four nodes and d, side 1's offset relative to side 0's:
-the linear sum is c0 (A + (c1 / c0) B). The kernels are built per operation
-and hold no reference to the manager, and the operation cache holds one
-join or elimination at a time, so no key carries a tag, variable or weight.
-`mk` appends a node only after both its children exist, so node ids ascend
-from children to parents. `_reachable` is the one walk over a whole diagram:
+variable x with its literal weights, from one function f or from the product
+f h of two (the relational product, CUDD's `AndAbstract`): it rebuilds the
+pairs (u, v) of nodes above x and, below x, walks the two cofactor sides
+together, each side a product of two nodes times an offset, and emits the
+max (`exists_project`) or the sum (`add_project`) of the sides. A side's
+offset carries the weight of its polarity, so neither f h nor a weighted
+cofactor is built. Below x, the walk factors side 0's offset out and keys on
+the four nodes and d, side 1's offset relative to side 0's: the linear sum
+is c0 (A + (c1 / c0) B). The kernels are built per operation and hold no
+reference to the manager, and the operation cache holds one join or
+elimination at a time, so no key carries a tag, variable or weight. `mk`
+appends a node only after both its children exist, so node ids ascend from
+children to parents. `_reachable` is the one walk over a whole diagram:
 `size`, `to_dot` and the checkpoint verifier's tables (`oracle`, by
 ascending id) share it; both evaluations are `_path` walks.
 
@@ -69,6 +70,11 @@ _NEG_INF = float("-inf")
 _TERMINAL = 0  # the one terminal node, the unit constant
 _LEAF_LEVEL = sys.maxsize  # the terminal's level, deeper than any variable's
 _MIN, _MAX = sys.float_info.min, sys.float_info.max
+
+
+def _log10(value: float) -> float:
+    """A linear-domain value as a log10 value, 0 as -inf."""
+    return math.log10(value) if value > 0 else _NEG_INF
 
 
 def _out_of_range(what: str) -> GuardError:
@@ -250,8 +256,7 @@ class DiagramManager:
         _check_index(var)
         w_neg, w_pos = _check_weight(w_neg), _check_weight(w_pos)
         if self.log_mode:
-            return (math.log10(w_neg) if w_neg > 0 else _NEG_INF,
-                    math.log10(w_pos) if w_pos > 0 else _NEG_INF)
+            return _log10(w_neg), _log10(w_pos)
         return w_neg, w_pos
 
     def literal_weight(self, var: int, w_neg: float, w_pos: float) -> Function:
@@ -283,23 +288,23 @@ class DiagramManager:
     # ------------------------------------------------------------ combinators
 
     def join(self, f: Function, g: Function) -> Function:
-        """Pointwise product (sum of logs in log10 mode); a linear product of
-        nonzero offsets out of double range raises GuardError."""
-        return self._walk(self._edge(f), self._edge(g), None, self._unit, self._unit, None)
+        """Pointwise product (sum of logs in log10 mode), as the elimination of
+        variable 0, which no function depends on, under unit weights; a linear
+        product of nonzero offsets out of double range raises GuardError."""
+        return self._walk(f, g, 0, self._unit, self._unit, max)
 
-    def _walk(self, f: tuple[float, int], g: tuple[float, int], var: int | None,
-              w0: float, w1: float, combine) -> Function:
-        """f g when var is None; else combine(w0 (x) (f g)|var=0, w1 (x)
-        (f g)|var=1) pointwise, in one pass over f and g that builds neither
-        the product f g nor a weighted cofactor; (x) is the join's product."""
-        (cf, u), (cg, v) = f, g
+    def _walk(self, f: Function, g: Function, var: int, w0: float, w1: float,
+              combine) -> Function:
+        """combine(w0 (x) (f g)|var=0, w1 (x) (f g)|var=1) pointwise (combine(w0,
+        w1) (x) f g where var is absent), in one pass over f and g that builds
+        neither f g nor a weighted cofactor; (x) is the join's product."""
+        (cf, u), (cg, v) = self._edge(f), self._edge(g)
         nodes, cache, mk, times = self._nodes, self._cache, self._mk, self._times
         unit, zero = self._unit, self._zero
         ratio = operator.sub if self.log_mode else _ratio
         cache.clear()  # first, as an operation cut short by GuardError leaves entries
         if cf == zero or cg == zero or w0 == w1 == zero:
             return self.zero()
-        maximum = combine is max
 
         # The kernels return edges. `product` multiplies two nodes. Below var,
         # `sides` emits combine(c0 a0 b0, c1 a1 b1) for two sides, each a
@@ -360,7 +365,7 @@ class DiagramManager:
                 a1, b1 = b1, a1
             if a0 == a1 and b0 == b1:
                 m, n = product(a0, b0)
-                return times((c0 if c0 >= c1 else c1) if maximum else combine(c0, c1), m), n
+                return times(combine(c0, c1), m), n
             d = ratio(c1, c0)
             key = (a0, b0, a1, b1, d)
             result = cache.get(key)
@@ -403,8 +408,7 @@ class DiagramManager:
             m, n = result
             return times(c0, m), n
 
-        if var is not None:
-            absent = (w0 if w0 >= w1 else w1) if maximum else combine(w0, w1)
+        absent = combine(w0, w1)
 
         def rec(u: int, v: int) -> tuple[float, int]:
             if u > v:  # the product commutes
@@ -442,7 +446,7 @@ class DiagramManager:
             return result
 
         try:
-            m, node = (product if var is None else rec)(u, v)
+            m, node = rec(u, v)
             return Function(self, times(times(cf, cg), m), node)
         finally:
             del product, sides, rec  # each calls itself through its cell
@@ -453,10 +457,9 @@ class DiagramManager:
         the unit when None. With `signs`, var's derivative sign is appended
         first, from the same converted weights."""
         w0, w1 = self._weights(var, w_neg, w_pos)
-        edges = self._edge(f), (self._unit, _TERMINAL) if h is None else self._edge(h)
         if signs is not None:
             signs.append(DerivativeSign(var, f, w0, w1, h))
-        return self._walk(*edges, var, w0, w1, combine)
+        return self._walk(f, self.one() if h is None else h, var, w0, w1, combine)
 
     def exists_project(self, f: Function, var: int, w_neg: float = 1.0,
                        w_pos: float = 1.0, h: Function | None = None,

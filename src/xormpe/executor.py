@@ -33,6 +33,7 @@ from .formula import Assignment, Formula, WeightFunction, evaluate_formula
 from .planner import PjtNode, ProjectJoinTree, Violation, _checked_order
 
 _RTOL = 1e-9  # relative tolerance of the certificate, and of the checkpoints in oracle.py
+_LOG_RTOL = math.log1p(_RTOL) / math.log(10)  # relative _RTOL on logarithms (1 + _RTOL rounds up)
 
 
 @dataclass
@@ -218,8 +219,8 @@ def _certify(formula: Formula, weights: WeightFunction, mode: str, maximum: floa
     weight = -math.inf if 0.0 in chosen else math.fsum(map(math.log10, chosen))
     if mode == "log10":
         certified = math.isclose(weight, maximum, rel_tol=_RTOL, abs_tol=_RTOL)
-    else:  # relative _RTOL on logarithms; log1p, as 1 + _RTOL rounds up
-        certified = abs(weight - math.log10(maximum)) <= math.log1p(_RTOL) / math.log(10)
+    else:
+        certified = abs(weight - math.log10(maximum)) <= _LOG_RTOL
     if not certified:
         raise InternalError(f"the maximizer weighs 10^{weight!r}, not the maximum {maximum!r}")
 

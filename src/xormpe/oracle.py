@@ -6,7 +6,7 @@ and evaluated (point i of a dense array sets variable var exactly when bit
 var - 1 of i is set). This is the ground truth the solver is tested against.
 
 `verify_checkpoints` reruns a solve with an observer that checks each step
-on its own tree node, on dense tables over the node's variables: bucket
+on its own tree node, on dense log10 tables over the node's variables: bucket
 elimination is correct by induction over the tree (Dechter, AI 1999), so
 local checks cover any variable count, for trees up to DENSE_LIMIT wide.
 """
@@ -15,25 +15,43 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import _TERMINAL, DerivativeSign, Function
+from .diagram import _TERMINAL, DerivativeSign, Function, _log10
 from .errors import GuardError
-from .executor import _RTOL, Observer, solve
+from .executor import _LOG_RTOL, _RTOL, Observer, solve
 from .formula import Assignment, Clause, ClauseKind, Formula, WeightFunction
 from .planner import ProjectJoinTree
 
 DENSE_LIMIT = 20  # variables of the oracle's enumeration, and of a verified tree node
 
 
+@contextmanager
+def _in_double_range():
+    """GuardError where a linear product or sum of the enumeration leaves double range."""
+    try:
+        with np.errstate(over="raise", under="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise GuardError("linear weight products or their sum leave double range; "
+                         "the oracle cannot enumerate them") from exc
+
+
 @dataclass
 class OracleResult:
     maximum: float
-    wmc: float
     var_count: int
     values: np.ndarray = field(repr=False)  # weight of each assignment, 0 if unsat
+
+    @property
+    def wmc(self) -> float:
+        """The weighted model count, summed on each read under the oracle's
+        guard, so only a read refuses a sum out of double range."""
+        with _in_double_range():
+            return float(self.values.sum())
 
     def _index(self, assignment: Assignment) -> int:
         if len(assignment) != self.var_count:
@@ -84,25 +102,19 @@ def _indicator(clause: Clause, scope: Collection[int]) -> np.ndarray:
 
 def brute_solve(formula: Formula, weights: WeightFunction) -> OracleResult:
     """Enumerate all assignments; return the maximum, its witnesses, and the
-    weighted model count. Raises GuardError beyond DENSE_LIMIT variables and
-    when a weight product it takes, or the sum, leaves double range (by the
-    numpy rule of a linear `verify_checkpoints`)."""
+    weighted model count (summed when read). GuardError beyond DENSE_LIMIT
+    variables, or where a weight product it takes leaves double range."""
     n = formula.var_count
     if n > DENSE_LIMIT:
         raise GuardError(f"oracle limit exceeded: {n} > {DENSE_LIMIT} variables")
     scope = range(n, 0, -1)  # var 1 is the last axis: point i sets var at bit var - 1
-    try:
-        with np.errstate(over="raise", under="raise"):
-            values = np.array(1.0)
-            for var in range(1, n + 1):
-                values = values * _axis(scope, var, weights.pair(var))
-            for clause in formula.clauses:
-                values *= _indicator(clause, scope)
-            maximum, wmc = float(values.max()), float(values.sum())
-    except FloatingPointError as exc:
-        raise GuardError("linear weight products leave double range; "
-                         "the oracle cannot enumerate them") from exc
-    return OracleResult(maximum=maximum, wmc=wmc, var_count=n, values=values.reshape(-1))
+    with _in_double_range():
+        values = np.array(1.0)
+        for var in range(1, n + 1):
+            values = values * _axis(scope, var, weights.pair(var))
+        for clause in formula.clauses:
+            values *= _indicator(clause, scope)
+    return OracleResult(maximum=float(values.max()), var_count=n, values=values.reshape(-1))
 
 
 # --------------------------------------------------------------- verification
@@ -120,11 +132,12 @@ class CheckpointFailure(Exception):
 
 
 class _Verifier(Observer):
-    """Checks each executor event at its tree node, in the value domain of
-    the manager it observes, on tables with one axis per variable of the
-    node (vars | pi), ascending. `valuations` holds each exited node's
-    valuation until its parent takes it; of the node in progress, `so_far`
-    is its function so far and `untaken` its children not taken yet."""
+    """Checks each executor event at its tree node, on tables of log10 values
+    (a linear manager's offsets and weights enter through `_log10`) with one
+    axis per variable of the node (vars | pi), ascending, compared as the
+    certificate compares a maximum of the mode. `valuations` holds each exited
+    node's valuation until its parent takes it; of the node in progress,
+    `so_far` is its function so far and `untaken` its children not taken yet."""
 
     def __init__(self, formula: Formula, weights: WeightFunction, tree: ProjectJoinTree):
         super().__init__()
@@ -135,9 +148,8 @@ class _Verifier(Observer):
 
     def setup(self, manager) -> None:
         super().setup(manager)
-        # atol: the certificate's floor for a log10 value near 0
-        self.unit, self.zero, self.times, self.atol = (
-            (0.0, -math.inf, np.add, _RTOL) if manager.log_mode else (1.0, 0.0, np.multiply, 0.0))
+        self.log10, self.rtol, self.atol = (
+            (lambda value: value, _RTOL, _RTOL) if manager.log_mode else (_log10, 0.0, _LOG_RTOL))
 
     def _fail(self, checkpoint: str, message: str, variable: int | None = None):
         raise CheckpointFailure(checkpoint, message, node=self.node, variable=variable)
@@ -168,31 +180,28 @@ class _Verifier(Observer):
         children first. A diagram node's table spans the trailing axes, from
         its own variable on, so numpy tiles it across the levels its parents
         skip; a variable off the node fails."""
-        nodes, scope, times = self.manager._nodes, self.scope, self.times
-        tables = {_TERMINAL: np.array(self.unit)}
+        nodes, scope, log10 = self.manager._nodes, self.scope, self.log10
+        tables = {_TERMINAL: np.array(0.0)}
         for node in sorted(self.manager._reachable(f.node))[1:]:  # the terminal is id 0
             var, low, low_off, high, high_off = nodes[node]
             if var not in scope:
                 self._fail(checkpoint, f"a function of node {self.node} depends on x{var}")
             table = tables[node] = np.empty((2,) * (len(scope) - scope[var]))
-            times(low_off, tables[low], out=table[0, ...])
-            times(high_off, tables[high], out=table[1, ...])
-        return np.broadcast_to(times(f.offset, tables[f.node]), (2,) * len(scope))
+            np.add(log10(low_off), tables[low], out=table[0, ...])
+            np.add(log10(high_off), tables[high], out=table[1, ...])
+        return np.broadcast_to(log10(f.offset) + tables[f.node], (2,) * len(scope))
 
     def _check(self, checkpoint: str, f: Function, expected: np.ndarray, message: str,
                variable: int | None = None) -> None:
-        table = self._table(f, checkpoint)
-        with np.errstate(under="ignore"):  # the tolerance of a tiny value underflows
-            if not np.allclose(table, expected, rtol=_RTOL, atol=self.atol):
-                self._fail(checkpoint, message, variable)
+        if not np.allclose(self._table(f, checkpoint), expected, rtol=self.rtol, atol=self.atol):
+            self._fail(checkpoint, message, variable)
 
     # -- events from the executor ------------------------------------------
 
     def child_joined(self, node: int, h: Function, previous: Function, joined: Function) -> None:
         self._at(node, previous)
         self._take(h)
-        product = self.times(self._table(previous, "join-condition"),
-                             self._table(h, "join-condition"))
+        product = self._table(previous, "join-condition") + self._table(h, "join-condition")
         self._check("join-condition", joined, product,
                     f"join at node {node} is not its operands' product")
         self.so_far = joined
@@ -203,12 +212,12 @@ class _Verifier(Observer):
         product = self._table(previous, "project-condition")
         if h is not None:  # the operands first, then the weights, as the kernel takes them
             self._take(h)
-            product = self.times(product, self._table(h, "project-condition"))
+            product = product + self._table(h, "project-condition")
         w_neg, w_pos = self.manager._weights(var, *self.weights.pair(var))
         if sign != DerivativeSign(var, previous, w_neg, w_pos, h):  # solve records every sign
             self._fail("maximizer-push", f"sign {sign!r} is not x{var}'s at node {node}", var)
         self.signs[var] = sign
-        product = self.times(product, _axis(self.scope, var, [w_neg, w_pos]))
+        product = product + _axis(self.scope, var, [self.log10(w_neg), self.log10(w_pos)])
         self._check("project-condition", result, product.max(self.scope[var], keepdims=True),
                     f"x{var}'s projection at node {node} is not its operands' max", var)
         self.so_far = result
@@ -217,7 +226,7 @@ class _Verifier(Observer):
         if node < self.tree.clause_count:
             self._at(node)
             satisfied = _indicator(self.formula.clauses[node], self.scope)
-            self._check("pre-condition", f, np.where(satisfied, self.unit, self.zero),
+            self._check("pre-condition", f, np.where(satisfied, 0.0, -math.inf),
                         f"leaf {node} is not its clause's indicator")
         else:
             self._at(node, f)
@@ -245,16 +254,11 @@ def verify_checkpoints(formula: Formula, weights: WeightFunction, tree: ProjectJ
                        mode: str = "linear") -> CheckpointFailure | None:
     """Run a solve in `mode` under full instrumentation: None when every
     checkpoint holds, else the first failure. GuardError for a tree wider
-    than DENSE_LIMIT, or linear products out of double range in the solve
-    or in a table."""
+    than DENSE_LIMIT, or linear products out of double range in the solve."""
     if tree.width() > DENSE_LIMIT:
         raise GuardError(f"verification limit exceeded: width {tree.width()} > {DENSE_LIMIT}")
     try:
-        with np.errstate(over="raise", under="raise"):
-            solve(formula, weights, tree, mode=mode, observer=_Verifier(formula, weights, tree))
+        solve(formula, weights, tree, mode=mode, observer=_Verifier(formula, weights, tree))
     except CheckpointFailure as failure:
         return failure
-    except FloatingPointError as exc:
-        raise GuardError("linear weight products leave double range; "
-                         "the verifier cannot tabulate them") from exc
     return None

@@ -495,6 +495,18 @@ def test_oracle_answers_where_every_product_fits(capsys, tmp_path, command):
     assert out == "s MAXIMUM 1e+308\nv 1 2 0\n"
 
 
+def test_oracle_refuses_only_the_count_it_reports(capsys, tmp_path):
+    # the maximum fits and the sum of its two points does not; the machine
+    # format reports no WMC
+    path = tmp_path / "sum.xcnf"
+    path.write_text("p cnf 1 0\nw 1 1e308\nw -1 1e308\n")
+    code, out, _ = run(capsys, ["oracle", str(path), "--format", "machine"])
+    assert (code, out) == (0, "s MAXIMUM 1e+308\nv -1 0\n")
+    code, out, err = run(capsys, ["oracle", str(path)])
+    assert (code, out) == (3, "")
+    assert "double range" in err
+
+
 @pytest.mark.parametrize("name", OUT_OF_RANGE_TEXTS)
 def test_log10_verify_answers_where_linear_products_leave_double_range(capsys, tmp_path,
                                                                       name):

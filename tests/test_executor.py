@@ -649,6 +649,22 @@ def test_verify_takes_each_child_exactly_once():
         assert (caught.value.checkpoint, caught.value.node) == ("join-condition", tree.root)
 
 
+def test_verify_checks_the_function_a_node_works_on():
+    # the root's function so far is leaf 0's valuation, not the unit
+    formula = Formula(2, [disj(1), disj(2)])
+    tree = ProjectJoinTree(formula)
+    tree.root = tree.add_internal([0, 1], [1, 2])
+    verifier = oracle._Verifier(formula, WeightFunction(), tree)
+    manager = DiagramManager()
+    verifier.setup(manager)
+    leaves = [manager.from_clause(clause) for clause in formula.clauses]
+    for leaf, f in enumerate(leaves):
+        verifier.exit(leaf, f)
+    with pytest.raises(CheckpointFailure, match="works on") as caught:
+        verifier.child_joined(tree.root, leaves[1], manager.one(), leaves[1])
+    assert (caught.value.checkpoint, caught.value.node) == ("join-condition", tree.root)
+
+
 def test_fault_leaf_on_another_variable_caught_at_pre_condition(monkeypatch):
     # clause x1 built as x2: leaf 0's table spans x1 alone
     formula = Formula(2, [disj(1), disj(2)])

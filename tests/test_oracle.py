@@ -22,6 +22,8 @@ def test_unit_clause():
     assert result.maximizers == {(1,)}
     assert result.is_maximizer({1: True})
     assert not result.is_maximizer({1: False})
+    with pytest.raises(ValueError, match="not total"):
+        result.is_maximizer({})
 
 
 def test_weighted_xor():
@@ -134,11 +136,11 @@ def test_products_out_of_double_range_raise_guard_error(name):
     assert verify_checkpoints(formula, weights, tree, mode="log10") is None
 
 
-def test_linear_verify_refuses_a_table_point_out_of_double_range():
-    # the linear solve keeps every offset in range, but the verifier's table
-    # for node 3's projection of x5 weighs x5 = 1 at 1e-200 * 1e-120 where
+def test_linear_verify_answers_where_a_linear_table_point_leaves_double_range():
+    # the linear solve keeps every offset in range, but a linear table for
+    # node 3's projection of x5 would weigh x5 = 1 at 1e-200 * 1e-120 where
     # x1 = 0, below double range, although the max takes the other side; the
-    # log10 verifier tabulates logarithms
+    # verifier tabulates logarithms in both modes
     formula, weights = parse_formula(
         "p cnf 5 2\n2 0\nx -5 -4 1 0\n" + "".join(
             f"w {lit} {w}\n" for lit, w in [(-1, 1e-120), (1, 1e120), (-2, 1e200), (2, 1.0),
@@ -146,9 +148,36 @@ def test_linear_verify_refuses_a_table_point_out_of_double_range():
                                             (4, 1e-120), (-5, 1.0), (5, 1e-120)]))
     tree = plan(formula, [3, 4, 5, 2, 1])
     assert solve(formula, weights, tree).maximum == pytest.approx(1e-280, rel=1e-9)
-    with pytest.raises(GuardError, match="cannot tabulate"):
-        verify_checkpoints(formula, weights, tree)
+    assert verify_checkpoints(formula, weights, tree) is None
     assert verify_checkpoints(formula, weights, tree, mode="log10") is None
+
+
+def test_linear_verify_accepts_every_solve_that_answers():
+    # weights of mixed magnitudes on shuffled lex plans: a linear table point
+    # may leave double range where no offset of the solve does
+    rng = random.Random(59)
+    pool = [1.0, 1e-120, 1e120, 1e-200, 1e200]
+    for trial in range(1000):
+        n = rng.randint(1, 7)
+        formula, _ = gen_random(n, rng.randint(0, 2 * n), rng.randint(1, n), rng.random(),
+                                5900 + trial)
+        weights = WeightFunction({v: (rng.choice(pool), rng.choice(pool))
+                                  for v in formula.variables})
+        order = list(formula.variables)
+        rng.shuffle(order)
+        tree = plan(formula, order)
+        try:
+            solve(formula, weights, tree)
+        except GuardError:
+            continue
+        assert verify_checkpoints(formula, weights, tree) is None, trial
+
+
+def test_a_weighted_model_count_out_of_double_range_is_refused_when_read():
+    result = brute_solve(Formula(1, []), WeightFunction({1: (1e308, 1e308)}))
+    assert result.maximum == 1e308
+    with pytest.raises(GuardError, match="double range"):
+        result.wmc
 
 
 @pytest.mark.parametrize("formula, weights, maximum", [
