@@ -163,7 +163,7 @@ def cmd_solve(args) -> int:
                                   encoding="utf-8")
 
     stats = result.stats
-    details = [f"width {stats.width}", f"peak-nodes {stats.peak_nodes}",
+    details = [f"width {stats.width}", f"peak-nodes {stats.peak_nodes}", f"forced {stats.forced}",
                f"plan-seconds {plan_time:.3f}", f"exec-seconds {stats.exec_seconds:.3f}",
                f"mode {result.mode}"]
     if result.no_model:

@@ -64,7 +64,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import GuardError
-from .formula import Assignment, Clause, ClauseKind, _check_index, _check_weight
+from .formula import Assignment, Clause, ClauseKind, _check_index, _check_weight, restrict
 
 _NEG_INF = float("-inf")
 _TERMINAL = 0  # the one terminal node, the unit constant
@@ -266,10 +266,25 @@ class DiagramManager:
 
     def from_clause(self, clause: Clause) -> Function:
         """0/1 indicator of the clause (also in log10 mode: -inf/0)."""
+        return self._indicator(clause.kind, clause.literals, False)
+
+    def from_clause_given(self, clause: Clause, forced: Assignment) -> Function:
+        """The clause's indicator restricted to the `forced` values of its
+        variables (`formula.restrict`): `from_clause` where none is forced."""
+        free, value = restrict(clause, forced)
+        if len(free) == len(clause.literals):
+            return self.from_clause(clause)
+        return self._indicator(clause.kind, free, value)
+
+    def _indicator(self, kind: ClauseKind, literals, value: bool) -> Function:
+        """0/1 indicator of the clause of kind over literals, whose value
+        where they are all false is `value`."""
         mk, one, zero = self._mk, self._unit, self._zero
-        deepest_first = sorted(clause.literals, key=lambda lit: lit.var, reverse=True)
-        if clause.kind is ClauseKind.DISJUNCTION:
-            c, node = zero, _TERMINAL
+        deepest_first = sorted(literals, key=lambda lit: lit.var, reverse=True)
+        edges = (zero, _TERMINAL), (one, _TERMINAL)
+        sides = edges[value], edges[not value]  # where no literal is true, and where one is
+        if kind is ClauseKind.DISJUNCTION:
+            c, node = sides[0]
             for lit in deepest_first:
                 if lit.positive:
                     c, node = mk(lit.var, c, node, one, _TERMINAL)
@@ -277,8 +292,9 @@ class DiagramManager:
                     c, node = mk(lit.var, one, _TERMINAL, c, node)
             return Function(self, c, node)
         # xor: sides holds the suffix at even, then odd parity; a negative literal swaps them
+        if not deepest_first:
+            return Function(self, *sides[0])
         *below, top = deepest_first
-        sides = (zero, _TERMINAL), (one, _TERMINAL)
         for lit in below:
             even, odd = sides if lit.positive else sides[::-1]
             sides = mk(lit.var, *even, *odd), mk(lit.var, *odd, *even)

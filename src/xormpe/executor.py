@@ -13,6 +13,11 @@ rebuild a maximizing assignment, which `solve` certifies against the formula
 and the weights before returning it. The sign carries the weights and the fused
 factor: it has to cover every remaining factor that depends on the variable,
 or unconstrained variables would tie and lose their weight preference.
+Unit propagation (`formula.propagate`) runs first, and a leaf that is not the
+reason for a forced literal is restricted to the forced literals. Every model
+agrees with them, and a point that does not falsifies the reason for the
+first one it contradicts, so the leaves' product is unchanged, as is every
+answer; a conflict leaves a zero leaf.
 
 An `Observer` gets one event per change of state: a join, a projection (with
 its fused child and recorded sign, if any) or a node's valuation.
@@ -29,7 +34,7 @@ from typing import Callable
 
 from .diagram import DerivativeSign, DiagramManager, Function
 from .errors import GuardError, InternalError
-from .formula import Assignment, Formula, WeightFunction, evaluate_formula
+from .formula import Assignment, Formula, WeightFunction, evaluate_formula, propagate
 from .planner import PjtNode, ProjectJoinTree, Violation, _checked_order
 
 _RTOL = 1e-9  # relative tolerance of the certificate, and of the checkpoints in oracle.py
@@ -40,10 +45,11 @@ _LOG_RTOL = math.log1p(_RTOL) / math.log(10)  # relative _RTOL on logarithms (1 
 class SolveStats:
     """`width` is the tree's. `peak_nodes` is the number of diagram nodes the
     solve allocated, the terminal included; the manager frees no node during
-    a solve, so that final count is also its peak."""
+    a solve, so that final count is also its peak; `forced` counts the forced literals."""
 
     width: int = 0
     peak_nodes: int = 0
+    forced: int = 0
     exec_seconds: float = 0.0
 
 
@@ -64,10 +70,11 @@ class Observer:
     order, one event per change of its state, so a node's own work runs from
     the previous event to its `exit`. Pass an instance as `observer=` to
     `solve` or `valuate`, one instance per solve. Every event is a no-op here,
-    and the base class keeps nothing but the manager; subclasses override the
+    and the base class keeps only the manager and `forced`; subclasses override the
     events they need."""
 
     manager: DiagramManager  # from setup on
+    forced: dict[int, tuple[bool, int]]  # `formula.propagate`'s, set by valuate before setup
 
     def setup(self, manager: DiagramManager) -> None:
         """Before the first node, with the manager the valuation uses."""
@@ -119,9 +126,10 @@ def valuate(
     linear-domain weights: `manager.exists_project` by default,
     `manager.add_project` to count. `observer` receives every step.
 
-    Leaf i is clause i. Before any work, a tree `validate` refuses raises
-    ValueError with its message: a `MalformedTree` for a bad shape. A join
-    or projection that outruns the recursion limit raises GuardError."""
+    Leaf i is clause i, restricted to the forced literals (`observer.forced`)
+    unless it is the reason for one. Before any work, a tree `validate` refuses
+    raises ValueError with its message: a `MalformedTree` for a bad shape. A
+    join or projection that outruns the recursion limit raises GuardError."""
     order = _checked_order(tree, formula)
     if isinstance(order, Violation):
         raise ValueError(order.message)
@@ -129,11 +137,15 @@ def valuate(
         project = manager.exists_project
     if observer is None:
         observer = Observer()
+    observer.forced = propagate(formula)
+    forced = {var: value for var, (value, _) in observer.forced.items()}
+    reasons = {reason for _, reason in observer.forced.values()}
     observer.setup(manager)
     values: dict[int, Function] = {}
     for node_id in order:
         if node_id < tree.clause_count:
-            f = manager.from_clause(formula.clauses[node_id])
+            f = (manager.from_clause(formula.clauses[node_id]) if not forced or node_id in reasons
+                 else manager.from_clause_given(formula.clauses[node_id], forced))
         else:
             pjt_node = tree.nodes[node_id]
             # only the root may be childless (post_order), and only with no clauses (validate)
@@ -202,6 +214,7 @@ def solve(
     stats = SolveStats(
         width=tree.width(),
         peak_nodes=manager.node_count(),
+        forced=len(observer.forced),
         exec_seconds=time.perf_counter() - started,
     )
     return SolveResult(maximum, maximizer, no_model, mode, stats)

@@ -306,6 +306,48 @@ def evaluate_formula(formula: Formula, assignment: Assignment) -> bool:
     return all(evaluate_clause(c, assignment) for c in formula.clauses)
 
 
+def restrict(clause: Clause, values: Assignment) -> tuple[list[Literal], bool]:
+    """The clause under the `values` of some of its variables: its free
+    literals, and its value where they are all false (each true one flips an
+    xor's); a satisfied disjunction keeps no free literal."""
+    free, value = [], False
+    for lit in clause.literals:
+        if lit.var not in values:
+            free.append(lit)
+        elif values[lit.var] == lit.positive:
+            if clause.kind is ClauseKind.DISJUNCTION:
+                return [], True
+            value = not value
+    return free, value
+
+
+def propagate(formula: Formula) -> dict[int, tuple[bool, int]]:
+    """The literals unit propagation forces from the unit clauses, var ->
+    (value, reason), in derivation order: given those before, clause `reason`
+    holds exactly when var, its one free variable, is value. It stops at a
+    falsified clause (no model); with no unit clause it costs one scan."""
+    clauses = formula.clauses
+    queue = [i for i, clause in enumerate(clauses) if len(clause.literals) == 1]
+    forced: dict[int, tuple[bool, int]] = {}
+    if not queue:
+        return forced
+    occurs: dict[int, list[int]] = {}
+    for i, clause in enumerate(clauses):
+        for lit in clause.literals:
+            occurs.setdefault(lit.var, []).append(i)
+    values: dict[int, bool] = {}
+    for i in queue:  # first in, first out: the unit clauses are the first reasons
+        free, value = restrict(clauses[i], values)
+        if not free and not value:
+            return forced
+        if len(free) == 1:
+            var = free[0].var
+            values[var] = free[0].positive != value
+            forced[var] = values[var], i
+            queue.extend(occurs[var])
+    return forced
+
+
 def evaluate_weight(weights: WeightFunction, assignment: Assignment) -> float:
     """Product of the chosen-polarity weights over all assigned variables,
     kept as a mantissa and a binary exponent (`math.frexp`), so no partial

@@ -23,7 +23,7 @@ import numpy as np
 from .diagram import _TERMINAL, DerivativeSign, Function, _log10
 from .errors import GuardError
 from .executor import _LOG_RTOL, _RTOL, Observer, solve
-from .formula import Assignment, Clause, ClauseKind, Formula, WeightFunction
+from .formula import Assignment, Clause, ClauseKind, Formula, WeightFunction, evaluate_clause
 from .planner import ProjectJoinTree
 
 DENSE_LIMIT = 20  # variables of the oracle's enumeration, and of a verified tree node
@@ -137,19 +137,33 @@ class _Verifier(Observer):
     axis per variable of the node (vars | pi), ascending, compared as the
     certificate compares a maximum of the mode. `valuations` holds each exited
     node's valuation until its parent takes it; of the node in progress,
-    `so_far` is its function so far and `untaken` its children not taken yet."""
+    `so_far` is its function so far and `untaken` its children not taken yet.
+    Each forced literal must follow from its reason and those forced before;
+    a reason's leaf is checked everywhere, any other where all forced hold."""
 
     def __init__(self, formula: Formula, weights: WeightFunction, tree: ProjectJoinTree):
         super().__init__()
         self.formula, self.weights, self.tree = formula, weights, tree
         self.valuations: dict[int, Function] = {}
         self.signs: dict[int, DerivativeSign] = {}  # by variable, each checked as pushed
+        self.forced: dict[int, tuple[bool, int]] = {}  # none until the executor's
         self.node: int | None = None
 
     def setup(self, manager) -> None:
         super().setup(manager)
         self.log10, self.rtol, self.atol = (
             (lambda value: value, _RTOL, _RTOL) if manager.log_mode else (_log10, 0.0, _LOG_RTOL))
+        self.values: dict[int, bool] = {}  # the forced literals, each checked as derived
+        self.reasons = {reason for _, reason in self.forced.values()}
+        for var, (value, reason) in self.forced.items():
+            clause = self.formula.clauses[reason]
+            rest = {lit.var: self.values.get(lit.var) for lit in clause.literals if lit.var != var}
+            if not (var in clause.variables and None not in rest.values()
+                    and evaluate_clause(clause, {**rest, var: value})
+                    and not evaluate_clause(clause, {**rest, var: not value})):
+                raise CheckpointFailure("pre-condition", f"clause {reason} does not force "
+                                        f"x{var} = {int(value)}", reason, var)
+            self.values[var] = value
 
     def _fail(self, checkpoint: str, message: str, variable: int | None = None):
         raise CheckpointFailure(checkpoint, message, node=self.node, variable=variable)
@@ -192,8 +206,10 @@ class _Verifier(Observer):
         return np.broadcast_to(log10(f.offset) + tables[f.node], (2,) * len(scope))
 
     def _check(self, checkpoint: str, f: Function, expected: np.ndarray, message: str,
-               variable: int | None = None) -> None:
-        if not np.allclose(self._table(f, checkpoint), expected, rtol=self.rtol, atol=self.atol):
+               variable: int | None = None, at: tuple = ()) -> None:
+        table = self._table(f, checkpoint)
+        if not np.allclose(table[at], np.broadcast_to(expected, table.shape)[at],
+                           rtol=self.rtol, atol=self.atol):
             self._fail(checkpoint, message, variable)
 
     # -- events from the executor ------------------------------------------
@@ -226,8 +242,11 @@ class _Verifier(Observer):
         if node < self.tree.clause_count:
             self._at(node)
             satisfied = _indicator(self.formula.clauses[node], self.scope)
+            values = self.values
+            agree = () if node in self.reasons else tuple(
+                slice(values[v], values[v] + 1) if v in values else slice(None) for v in self.scope)
             self._check("pre-condition", f, np.where(satisfied, 0.0, -math.inf),
-                        f"leaf {node} is not its clause's indicator")
+                        f"leaf {node} is not its clause's indicator", at=agree)
         else:
             self._at(node, f)
             if self.untaken:

@@ -20,8 +20,8 @@ from xormpe.benchgen import gen_random
 from xormpe.executor import count, solve
 from xormpe.planner import Heuristic, heuristic_order, plan
 
-DIGEST = "a342e9602445091654004a24d8748d2652d4f7ad675a361f7b64c020dde428f8"
-LOG10_DIGEST = "d47fae19dec4dcbea754f75f1bc64b1768809465de05c4d9899c67d38414c8bc"
+DIGEST = "01cf68269dd224e166611fd57672f2d12d3d9f1cfbd8cc367830fbcd96f4674b"
+LOG10_DIGEST = "59347e8e02f9b7724f212ab48ffc9ae7f537ba910ea91135ac1cf7bc98dc98d9"
 
 
 def digest_instance(trial):

@@ -530,3 +530,38 @@ def test_oracle_lists_no_maximizers(capsys, mixed6_file, monkeypatch):
     code, out, _ = run(capsys, ["oracle", mixed6_file])
     assert code == 0
     assert "v 1 -2 -3 -4 5 -6 0" in out.splitlines()  # min(maximizers), as before
+
+
+def test_solve_human_output_counts_the_forced_literals(capsys, tmp_path):
+    path = tmp_path / "units.xcnf"
+    path.write_text("p cnf 3 2\n1 0\nx 1 2 3 0\n")
+    code, out, _ = run(capsys, ["solve", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    peak = next(i for i, line in enumerate(lines) if line.startswith("c peak-nodes "))
+    assert lines[peak + 1] == "c forced 1"
+    code, out, _ = run(capsys, ["solve", str(path), "--format", "machine"])
+    assert not any(line.startswith("c ") for line in out.splitlines())
+
+
+CONFLICT_TEXT = "p cnf 3 3\n1 0\n-1 2 0\nx 1 2 0\n"
+FORCED_TEXT = ("p cnf 4 4\n1 0\nx 1 2 0\n2 3 0\nx 3 4 0\n"
+               "w 1 0.1\nw -1 10\nw 2 10\nw -2 0.1\nw 3 0.1\nw -3 10\nw 4 10\nw -4 0.1\n")
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("mode", ["linear", "log10"])
+def test_solve_answers_a_propagation_conflict_and_a_forced_assignment(capsys, tmp_path,
+                                                                      mode, verify):
+    # units and two-literal implications force every variable of the second
+    # file against its weights' preference; in the first they clash
+    conflict, forced = tmp_path / "conflict.xcnf", tmp_path / "forced.xcnf"
+    conflict.write_text(CONFLICT_TEXT)
+    forced.write_text(FORCED_TEXT)
+    argv = ["--mode", mode, *verify, "--format", "machine"]
+    code, out, _ = run(capsys, ["solve", str(conflict), *argv])
+    assert code == 0
+    assert out.splitlines()[0] == ("s MAXIMUM 0" if mode == "linear" else "s MAXIMUM -inf")
+    code, out, _ = run(capsys, ["solve", str(forced), *argv])
+    assert code == 0
+    assert out == ("s MAXIMUM 0.0001" if mode == "linear" else "s MAXIMUM -4") + "\nv 1 -2 3 -4 0\n"
